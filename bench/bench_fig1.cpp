@@ -7,14 +7,11 @@
 // The liveness proof at the end runs the registry's "fig1_liveness" scenario
 // grid (firmware variant x RoT fabric x drain burst) through the typed sweep
 // surface — each point is an independent co-simulation:
-//   bench_fig1 [--threads=N] [--json=PATH]
-//   bench_fig1 --shard=i/K --shard_json=PATH [--threads=N]
+//   bench_fig1 [--threads=N] [--json=PATH] [--engine=lockstep|event]
 //   bench_fig1 --write_checkpoints=PATH   # capture warm-up bundle, exit
 //   bench_fig1 --warm_start=PATH          # fork every point from the bundle
-// A --shard run co-simulates only the ShardPlanner-owned slice of the grid
-// and writes a partial report; tools/bench_merge (or the one-command
-// tools/bench_shard_driver) reconstructs the --json output byte-for-byte
-// from all K partials.
+// The --json document is byte-identical at any thread count, under either
+// engine, and warm or cold.
 #include <iomanip>
 #include <iostream>
 
@@ -39,15 +36,15 @@ int main(int argc, char** argv) {
   }
   // --engine=lockstep runs the grid under the per-cycle witness scheduler;
   // the report identity (and therefore every row and fingerprint) is
-  // engine-independent, which is what lets CI diff a lock-step witness
-  // against event-driven shard partials as an equivalence gate.
+  // engine-independent, which is what lets CI diff a lock-step document
+  // against an event-driven one as an equivalence gate.
   if (cli.engine == "lockstep") {
     grid = grid.with_engine(titan::api::Engine::kLockStep);
   }
   // --write_checkpoints captures the grid's warm-up prefixes and exits;
   // --warm_start forks every point from a previously written bundle.  Either
   // way the report identity is unchanged (warm start is an execution
-  // strategy), so warm shard partials merge into cold serial documents.
+  // strategy), so a warm document byte-diffs clean against a cold one.
   const int checkpoint_rc =
       titan::api::handle_checkpoint_cli(grid, cli, "bench_fig1");
   if (checkpoint_rc >= 0) {
@@ -111,8 +108,8 @@ int main(int argc, char** argv) {
   }
 
   // Prove the wiring is live, not cosmetic: run the full scenario grid and
-  // show traffic.  The typed sweep surface shards the points across threads
-  // (and, with --shard, across processes) with index-ordered aggregation.
+  // show traffic.  The typed sweep surface spreads the points across threads
+  // with index-ordered aggregation.
   const titan::api::SweepPlan<titan::api::RunReport> plan =
       titan::api::scenario_sweep_plan(grid);
   titan::api::SweepOutcome<titan::api::RunReport> outcome;
@@ -122,16 +119,14 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n  Liveness grid (fib(8) through the full stack; "
-            << outcome.owned.size() << " of " << grid.size() << " points, "
+            << grid.size() << " points, "
             << outcome.threads << " thread(s), " << std::fixed
             << std::setprecision(2) << outcome.seconds << "s):\n";
   std::cout << "    " << std::left << std::setw(28) << "scenario" << std::right
             << std::setw(8) << "logs" << std::setw(10) << "doorbells"
             << std::setw(9) << "cycles" << std::setw(6) << "viol" << "\n";
   std::uint64_t violations = 0;
-  for (std::size_t index = outcome.owned.begin; index < outcome.owned.end;
-       ++index) {
-    const titan::api::RunReport& report = outcome.at_global(index);
+  for (const titan::api::RunReport& report : outcome.rows) {
     std::cout << "    " << std::left << std::setw(28) << report.scenario
               << std::right << std::setw(8) << report.cf_logs << std::setw(10)
               << report.doorbells << std::setw(9) << report.cycles

@@ -9,11 +9,9 @@
 //
 // The point grid is the typed api::OverheadGrid::table2() — its
 // serialization is the report identity — run through the one sweep surface
-// (threads via sim::SweepRunner, processes via sim::ShardPlanner):
+// (threads via sim::SweepRunner):
 //   bench_table2 [--threads=N] [--json=PATH]
-//   bench_table2 --shard=i/K --shard_json=PATH [--threads=N]
-// Merging all K partials with tools/bench_merge (or in one command with
-// tools/bench_shard_driver) reconstructs the --json output byte-for-byte.
+// The --json document is byte-identical at any thread count.
 #include <cstdio>
 #include <iomanip>
 #include <iostream>
@@ -57,7 +55,7 @@ int main(int argc, char** argv) {
     std::cerr << "bench_table2: " << cli.error << "\n";
     return 2;
   }
-  if (cli.engine_given) {
+  if (!cli.engine.empty()) {
     std::cerr << "bench_table2: --engine only applies to co-simulating "
                  "benches (this one replays the trace-driven overhead "
                  "model)\n";
@@ -100,15 +98,6 @@ int main(int argc, char** argv) {
   const int exit_code = titan::api::run_sweep(plan, cli, &outcome);
   if (exit_code != 0) {
     return exit_code;
-  }
-
-  if (cli.shard_given) {
-    std::cout << "TABLE II shard " << cli.shard.index << "/" << cli.shard.count
-              << ": rows [" << outcome.owned.begin << "," << outcome.owned.end
-              << ") of " << grid.size() << " on " << outcome.threads
-              << " thread(s) in " << std::fixed << std::setprecision(2)
-              << outcome.seconds << "s\n";
-    return 0;
   }
 
   std::cout << "TABLE II — Runtime slowdown comparison with DExIE [8] and "

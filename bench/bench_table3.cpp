@@ -9,11 +9,9 @@
 // The point grid is the typed api::OverheadGrid::table3() — its
 // serialization is the report identity — run through the one sweep surface:
 //   bench_table3 [--threads=N] [--json=PATH]
-//   bench_table3 --shard=i/K --shard_json=PATH [--threads=N]
 // Output is printed in table order regardless of thread count (deterministic
-// ordered aggregation); a --shard run evaluates only the ShardPlanner-owned
-// slice and writes a partial report that tools/bench_merge (or
-// tools/bench_shard_driver) splices back byte-for-byte.
+// ordered aggregation), and the --json document is byte-identical at any
+// thread count.
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -51,7 +49,7 @@ int main(int argc, char** argv) {
     std::cerr << "bench_table3: " << cli.error << "\n";
     return 2;
   }
-  if (cli.engine_given) {
+  if (!cli.engine.empty()) {
     std::cerr << "bench_table3: --engine only applies to co-simulating "
                  "benches (this one replays the trace-driven overhead "
                  "model)\n";
@@ -84,15 +82,6 @@ int main(int argc, char** argv) {
   const int exit_code = titan::api::run_sweep(plan, cli, &outcome);
   if (exit_code != 0) {
     return exit_code;
-  }
-
-  if (cli.shard_given) {
-    std::cout << "TABLE III shard " << cli.shard.index << "/"
-              << cli.shard.count << ": rows [" << outcome.owned.begin << ","
-              << outcome.owned.end << ") of " << grid.size() << " on "
-              << outcome.threads << " thread(s) in " << std::fixed
-              << std::setprecision(2) << outcome.seconds << "s\n";
-    return 0;
   }
 
   std::cout << "TABLE III — Statistics and slowdowns of EmBench-IoT and "

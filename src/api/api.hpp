@@ -5,7 +5,7 @@
 //   * ScenarioRegistry / ScenarioSet — named scenarios and declarative grids;
 //   * run_scenario() / RunReport  — one unified result type + JSON schema;
 //   * OverheadGrid                — typed trace-driven table sweeps;
-//   * run_sweep()                 — the one threaded/sharded sweep surface;
+//   * run_sweep()                 — the one thread-pooled sweep surface;
 //   * ReportSchema                — the versioned RunReport JSON schema;
 //   * wire Request/Response       — the versioned scenario-serving envelope.
 //

@@ -222,7 +222,7 @@ std::vector<std::shared_ptr<const sim::Snapshot>> load_checkpoint_bundle(
 int handle_checkpoint_cli(ScenarioSet& grid, const sim::SweepCli& cli,
                           std::string_view bench_label) {
   const std::string label(bench_label);
-  if (cli.write_checkpoints_given) {
+  if (!cli.write_checkpoints_path.empty()) {
     try {
       save_checkpoint_bundle(
           capture_grid_checkpoints(grid, kDefaultWarmupCycle),
@@ -236,7 +236,7 @@ int handle_checkpoint_cli(ScenarioSet& grid, const sim::SweepCli& cli,
                  grid.size(), cli.write_checkpoints_path.c_str());
     return 0;
   }
-  if (cli.warm_start_given) {
+  if (!cli.warm_start_path.empty()) {
     try {
       CheckpointCache cache;
       for (std::shared_ptr<const sim::Snapshot>& snapshot :

@@ -11,9 +11,9 @@
 // identity string run_scenario() validates on warm start — so a sweep over
 // a mixed grid builds exactly one prefix run per distinct scenario.
 //
-// The file helpers carry a checkpoint across process boundaries (the
-// fork-per-shard driver builds it once in the parent and hands the path to
-// its children) in the versioned, fingerprinted blob format; loading a
+// The file helpers carry a checkpoint across process boundaries (a bench's
+// --write_checkpoints run writes the bundle that a later --warm_start run,
+// or titand, loads) in the versioned, fingerprinted blob format; loading a
 // truncated, foreign, or version-skewed file throws sim::SnapshotError.
 #pragma once
 
@@ -71,10 +71,10 @@ class CheckpointCache {
 
   /// Lookup outcome counters: a hit is a warmed()/find() call answered from
   /// the cache, a miss is one that had to capture (warmed) or came back null
-  /// (find).  Atomic so read-side observers (titand's /metrics, bench_micro
-  /// --pr7_only) can sample them without synchronising with lookups; note
-  /// the map itself is NOT thread-safe — concurrent warmed() calls still
-  /// need external locking, which the daemon's service layer provides.
+  /// (find).  Atomic so read-side observers (titand's /metrics) can sample
+  /// them without synchronising with lookups; note the map itself is NOT
+  /// thread-safe — concurrent warmed() calls still need external locking,
+  /// which the daemon's service layer provides.
   [[nodiscard]] std::uint64_t hits() const { return hits_.load(); }
   [[nodiscard]] std::uint64_t misses() const { return misses_.load(); }
 
@@ -103,16 +103,15 @@ capture_grid_checkpoints(const ScenarioSet& set, sim::Cycle warmup,
 
 /// The same set with every scenario forked from its checkpoint in `cache`.
 /// Identity (header / config fingerprint) is unchanged — warm start is an
-/// execution strategy — so warm shard partials merge byte-identically into a
-/// cold serial document.  Throws ScenarioError when `cache` is missing any
+/// execution strategy — so a warm document is byte-identical to a cold one.  Throws ScenarioError when `cache` is missing any
 /// scenario of the set (a skewed bundle must fail loudly, not silently run
 /// that point cold).
 [[nodiscard]] ScenarioSet warm_started(const ScenarioSet& set,
                                        const CheckpointCache& cache);
 
 /// Multi-snapshot bundle file: every checkpoint of a sweep grid in one
-/// artifact (the fork-per-shard driver builds it once in the parent and
-/// hands the path to all K children).  Each entry is a full versioned
+/// artifact (written by --write_checkpoints, read by --warm_start and
+/// titand).  Each entry is a full versioned
 /// Snapshot blob, so loading validates every snapshot individually.
 void save_checkpoint_bundle(
     const std::vector<std::shared_ptr<const sim::Snapshot>>& snapshots,

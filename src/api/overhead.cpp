@@ -1,19 +1,10 @@
 #include "api/overhead.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 namespace titan::api {
 
 namespace {
-
-std::vector<const workloads::BenchmarkStats*> all_rows() {
-  std::vector<const workloads::BenchmarkStats*> rows;
-  for (const workloads::BenchmarkStats& stats : workloads::benchmark_table()) {
-    rows.push_back(&stats);
-  }
-  return rows;
-}
 
 cfi::OverheadConfig depth_config(std::size_t queue_depth) {
   cfi::OverheadConfig config;
@@ -37,19 +28,13 @@ OverheadGrid OverheadGrid::table2() {
 }
 
 OverheadGrid OverheadGrid::table3() {
-  return OverheadGrid("table3", all_rows(), depth_config(8));
-}
-
-OverheadGrid OverheadGrid::micro_sweep() {
-  return OverheadGrid("micro_sweep", all_rows(), depth_config(8));
-}
-
-OverheadGrid OverheadGrid::named(std::string_view name) {
-  if (name == "table2") return table2();
-  if (name == "table3") return table3();
-  if (name == "micro_sweep") return micro_sweep();
-  throw std::invalid_argument("OverheadGrid: unknown grid '" +
-                              std::string(name) + "'");
+  const std::vector<workloads::BenchmarkStats>& table =
+      workloads::benchmark_table();
+  std::vector<const workloads::BenchmarkStats*> rows(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    rows[i] = &table[i];
+  }
+  return OverheadGrid("table3", std::move(rows), depth_config(8));
 }
 
 double OverheadGrid::slowdown(std::size_t index,

@@ -10,10 +10,9 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "sim/shard_merge.hpp"
+#include "sim/sweep_doc.hpp"
 #include "titancfi/overhead_model.hpp"
 #include "workloads/embench.hpp"
 
@@ -25,12 +24,6 @@ class OverheadGrid {
   [[nodiscard]] static OverheadGrid table2();
   /// Full Table III grid (EmBench-IoT + RISC-V-Tests), queue depth 8.
   [[nodiscard]] static OverheadGrid table3();
-  /// The Table III grid reporting under bench name "micro_sweep"
-  /// (bench_micro's sharded sweep mode).
-  [[nodiscard]] static OverheadGrid micro_sweep();
-  /// Named lookup ("table2" / "table3" / "micro_sweep") for driver-style
-  /// callers; throws std::invalid_argument on an unknown name.
-  [[nodiscard]] static OverheadGrid named(std::string_view name);
 
   [[nodiscard]] const std::string& bench() const { return bench_; }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }

@@ -136,8 +136,8 @@ void register_drain_study(ScenarioRegistry& registry) {
 
 /// Hysteresis drain-policy study (ROADMAP "adaptive drain burst"): fib(10)
 /// at burst 8, sweeping the wait-for-k-or-timeout policy against the
-/// immediate drain.  Reported by bench_micro --pr5_only as the
-/// doorbell/latency trade-off.
+/// immediate drain.  Its doorbell/latency trade-off is recorded in
+/// BENCH_PR5.json (the hysteresis/* rows).
 void register_drain_hysteresis(ScenarioRegistry& registry) {
   struct Point {
     unsigned wait;

@@ -9,8 +9,8 @@
 //
 // A ScenarioSet's deterministic serialization IS the sweep-report identity:
 // header() hashes the scenario names into the grid hash and the full
-// scenario serializations into the config fingerprint, which is what the
-// shard-merge skew check compares.  The fingerprint therefore tracks the
+// scenario serializations into the config fingerprint, which every report
+// document carries in its header.  The fingerprint therefore tracks the
 // exact configuration objects the simulations ran with.
 #pragma once
 
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "api/scenario.hpp"
-#include "sim/shard_merge.hpp"
+#include "sim/sweep_doc.hpp"
 
 namespace titan::api {
 
@@ -46,7 +46,7 @@ class ScenarioSet {
 
   /// The same set run under `engine`.  Identity (header/fingerprint) is
   /// unchanged — the engine does not alter results — so a lock-step witness
-  /// document stays byte-comparable to event-driven shard partials.
+  /// document stays byte-comparable to an event-driven one.
   [[nodiscard]] ScenarioSet with_engine(Engine engine) const;
 
  private:

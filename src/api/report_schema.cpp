@@ -47,7 +47,7 @@ void ReportSchema::emit_fields(sim::JsonWriter& json,
   }
   json.begin_array("detection_latency_hist");
   for (const std::uint64_t count : resilience.detection_latency) {
-    json.raw_element(std::to_string(count));
+    json.element(count);
   }
   json.end_array();
   json.field("doorbell_retries", resilience.doorbell_retries)

@@ -10,8 +10,8 @@
 //
 // The schema is versioned (kVersion), but the version field is emitted only
 // when Options::emit_schema_version is set — committed BENCH_*.json
-// artifacts and the shard-merge byte-identity contract predate the field,
-// so the default stays byte-for-byte what PR 4 emitted.  Consumers that
+// artifacts and the sweep documents' byte-identity witnesses predate the
+// field, so the default stays byte-for-byte the original emission.  Consumers that
 // want self-describing documents (the wire protocol's future v2) opt in.
 #pragma once
 
@@ -31,8 +31,8 @@ class ReportSchema {
 
   struct Options {
     /// Emit "report_schema_version" as the first field.  Default off: the
-    /// committed bench artifacts and shard-merge byte-identity are defined
-    /// without it.
+    /// committed bench artifacts and the sweep documents' byte-identity
+    /// witnesses are defined without it.
     bool emit_schema_version = false;
   };
 

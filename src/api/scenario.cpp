@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "sim/shard_merge.hpp"
+#include "sim/sweep_doc.hpp"
 #include "soc/mailbox.hpp"
 #include "workloads/programs.hpp"
 

@@ -11,9 +11,9 @@
 // whole combination before anything is instantiated.
 //
 // A Scenario is immutable and deterministically serializable; the serialized
-// form is the config fingerprint used by the sweep/shard-merge machinery, so
-// the identity that guards a shard merge is derived from the exact object
-// the simulation ran with — never from a hand-maintained description.
+// form is the config fingerprint every sweep report document carries, so a
+// report's identity is derived from the exact object the simulation ran
+// with — never from a hand-maintained description.
 #pragma once
 
 #include <memory>

@@ -2,7 +2,7 @@
 // Workload::serialized().
 //
 // The fingerprint grammar the serializers emit is the repo's canonical
-// scenario identity (shard-merge config fingerprints, checkpoint identity
+// scenario identity (report config fingerprints, checkpoint identity
 // validation, registry round-trips).  This file makes that grammar a two-way
 // street so a wire request can name any buildable scenario by its serialized
 // form — and every deserialized scenario flows through ScenarioBuilder's

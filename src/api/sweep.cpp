@@ -6,26 +6,14 @@
 
 namespace titan::api {
 
-int write_sweep_documents(const sim::SweepDocHeader& header,
-                          const sim::SweepCli& cli,
-                          const sim::RowEmitter& emit_row,
-                          std::string_view bench_label) {
-  if (cli.shard_given) {
-    if (!sim::write_document(
-            cli.shard_json_path,
-            sim::render_shard_document(header, cli.shard, emit_row))) {
-      std::cerr << bench_label << ": cannot write " << cli.shard_json_path
-                << "\n";
-      return 1;
-    }
-    return 0;
-  }
-  if (!cli.json_path.empty()) {
-    if (!sim::write_document(cli.json_path,
-                             sim::render_full_document(header, emit_row))) {
-      std::cerr << bench_label << ": cannot write " << cli.json_path << "\n";
-      return 1;
-    }
+int write_sweep_document(const sim::SweepDocHeader& header,
+                         const std::string& json_path,
+                         const sim::RowEmitter& emit_row) {
+  if (!json_path.empty() &&
+      !sim::write_document(json_path,
+                           sim::render_full_document(header, emit_row))) {
+    std::cerr << header.bench << ": cannot write " << json_path << "\n";
+    return 1;
   }
   return 0;
 }

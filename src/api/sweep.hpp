@@ -2,16 +2,14 @@
 //
 // A sweep is (identity header, point function, row emitter).  run_sweep()
 // owns everything the benches used to duplicate: thread-pooling the points
-// through sim::SweepRunner, slicing the grid with sim::ShardPlanner when the
-// CLI asks for `--shard=i/K`, and rendering/writing the canonical full or
-// partial report document.  A bench's main() reduces to: build a typed grid
-// (ScenarioSet or OverheadGrid), parse the shared CLI, call run_sweep, and
-// print its human-readable table from the returned rows.
+// through sim::SweepRunner and rendering/writing the canonical report
+// document.  A bench's main() reduces to: build a typed grid (ScenarioSet or
+// OverheadGrid), parse the shared CLI, call run_sweep, and print its
+// human-readable table from the returned rows.
 //
-// Shard partials produced here merge byte-identically into the serial
-// `--json` document (tools/bench_merge, tools/bench_shard_driver) because
-// the header comes from the typed grid's deterministic serialization and
-// the rows are pure functions of their grid index.
+// The document is byte-identical at any thread count because the header
+// comes from the typed grid's deterministic serialization and the rows are
+// pure functions of their grid index.
 #pragma once
 
 #include <chrono>
@@ -21,7 +19,7 @@
 
 #include "api/registry.hpp"
 #include "api/run.hpp"
-#include "sim/shard_merge.hpp"
+#include "sim/sweep_doc.hpp"
 #include "sim/sweep.hpp"
 
 namespace titan::api {
@@ -30,36 +28,28 @@ template <typename Row>
 struct SweepPlan {
   /// Report identity (ScenarioSet::header() / OverheadGrid::header()).
   sim::SweepDocHeader header;
-  /// Evaluate one global grid index.  Must be a pure function of the index
+  /// Evaluate one grid index.  Must be a pure function of the index
   /// (SweepRunner may call it from pool threads).
   std::function<Row(std::size_t)> point;
-  /// Emit one rows-array element for (row, global index).
+  /// Emit one rows-array element for (row, grid index).
   std::function<void(sim::JsonWriter&, const Row&, std::size_t)> emit;
 };
 
 template <typename Row>
 struct SweepOutcome {
-  std::vector<Row> rows;  ///< Owned slice, local (index - owned.begin) order.
-  sim::ShardRange owned;  ///< Global indices this process evaluated.
+  std::vector<Row> rows;  ///< One row per grid index, in index order.
   unsigned threads = 1;
   double seconds = 0;     ///< Wall clock of the point evaluations.
-
-  [[nodiscard]] const Row& at_global(std::size_t index) const {
-    return rows[index - owned.begin];
-  }
 };
 
-/// Render and write the report documents a sweep run owes: the shard partial
-/// when `cli.shard_given`, else the canonical full document when a JSON path
-/// was requested.  Returns 0, or 1 after printing a write error mentioning
-/// `bench_label`.
-[[nodiscard]] int write_sweep_documents(const sim::SweepDocHeader& header,
-                                        const sim::SweepCli& cli,
-                                        const sim::RowEmitter& emit_row,
-                                        std::string_view bench_label);
+/// Write the canonical document to `json_path` (nothing when it is empty).
+/// Returns 0, or 1 after printing a write error naming the bench.
+[[nodiscard]] int write_sweep_document(const sim::SweepDocHeader& header,
+                                       const std::string& json_path,
+                                       const sim::RowEmitter& emit_row);
 
-/// Evaluate the CLI-selected slice of the plan's grid (thread-pooled,
-/// index-ordered) and write the owed documents.  Returns 0 on success.
+/// Evaluate the plan's whole grid (thread-pooled, index-ordered) and write
+/// the owed document.  Returns 0 on success.
 template <typename Row>
 [[nodiscard]] int run_sweep(const SweepPlan<Row>& plan,
                             const sim::SweepCli& cli,
@@ -67,24 +57,19 @@ template <typename Row>
   sim::SweepOptions options;
   options.threads = cli.threads;
   sim::SweepRunner runner(options);
-  const sim::ShardPlanner planner(plan.header.total_points, cli.shard.count);
-  outcome->owned = planner.range(cli.shard.index);
   outcome->threads = runner.threads();
 
   const auto start = std::chrono::steady_clock::now();
-  const sim::ShardRange owned = outcome->owned;
-  outcome->rows = runner.run<Row>(
-      owned.size(),
-      [&plan, &owned](std::size_t local) { return plan.point(owned.begin + local); });
+  outcome->rows = runner.run<Row>(plan.header.total_points, plan.point);
   outcome->seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
   const sim::RowEmitter emit_row = [&plan, outcome](sim::JsonWriter& json,
                                                     std::size_t index) {
-    plan.emit(json, outcome->at_global(index), index);
+    plan.emit(json, outcome->rows[index], index);
   };
-  return write_sweep_documents(plan.header, cli, emit_row, plan.header.bench);
+  return write_sweep_document(plan.header, cli.json_path, emit_row);
 }
 
 /// The canonical co-simulation sweep: one RunReport per scenario, emitted

@@ -10,9 +10,9 @@
 // witness bit-exact under every plan (tests/engine_equivalence_test.cpp).
 //
 // Plans serialize into the scenario fingerprint (Scenario::serialize), so a
-// shard merge of faulted sweeps is guarded by the exact plan the simulations
-// ran with, and a plan replayed from its serialized form reproduces the run
-// byte for byte.
+// faulted sweep's report identity names the exact plan the simulations ran
+// with, and a plan replayed from its serialized form reproduces the run byte
+// for byte.
 #pragma once
 
 #include <array>

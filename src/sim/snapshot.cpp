@@ -2,7 +2,7 @@
 
 #include <string_view>
 
-#include "sim/shard_merge.hpp"
+#include "sim/sweep_doc.hpp"
 
 namespace titan::sim {
 

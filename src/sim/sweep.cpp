@@ -176,97 +176,63 @@ void SweepRunner::run_indexed(std::size_t count,
   }
 }
 
-// ---- Sharding ---------------------------------------------------------------
+// ---- SweepCli ---------------------------------------------------------------
 
-bool parse_shard_spec(const char* text, ShardSpec* out) {
-  char* slash = nullptr;
-  const unsigned long index = std::strtoul(text, &slash, 10);
-  if (slash == text || *slash != '/') {
+namespace {
+
+constexpr const char* kSweepFlags =
+    " [--threads=N] [--json=PATH] [--engine=lockstep|event] "
+    "[--warm_start=PATH | --write_checkpoints=PATH]";
+
+/// If `arg` is `flag` followed by its value, store the value in `out`.
+bool take_value(const char* arg, std::string_view flag, std::string* out) {
+  if (std::strncmp(arg, flag.data(), flag.size()) != 0) {
     return false;
   }
-  char* end = nullptr;
-  const unsigned long count = std::strtoul(slash + 1, &end, 10);
-  if (end == slash + 1 || *end != '\0' || count == 0 || index >= count) {
-    return false;
-  }
-  out->index = static_cast<unsigned>(index);
-  out->count = static_cast<unsigned>(count);
+  *out = arg + flag.size();
   return true;
 }
 
-ShardPlanner::ShardPlanner(std::size_t total_points, unsigned shard_count)
-    : total_points_(total_points),
-      shard_count_(shard_count == 0 ? 1 : shard_count) {}
-
-ShardRange ShardPlanner::range(unsigned shard_index) const {
-  const std::size_t quotient = total_points_ / shard_count_;
-  const std::size_t remainder = total_points_ % shard_count_;
-  ShardRange owned;
-  owned.begin = shard_index * quotient +
-                std::min<std::size_t>(shard_index, remainder);
-  owned.end = owned.begin + quotient + (shard_index < remainder ? 1 : 0);
-  return owned;
-}
+}  // namespace
 
 SweepCli parse_sweep_cli(int argc, char** argv, std::string default_json) {
   SweepCli cli;
   cli.json_path = std::move(default_json);
+  const auto fail = [&](std::string what) {
+    cli.error = std::move(what) + "\nusage: " +
+                (argc > 0 ? argv[0] : "bench") + kSweepFlags;
+    return cli;
+  };
+  std::string threads;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      const long value = std::strtol(arg + 10, nullptr, 10);
+    if (take_value(arg, "--threads=", &threads)) {
+      const long value = std::strtol(threads.c_str(), nullptr, 10);
       cli.threads = value <= 0 ? 0 : static_cast<unsigned>(value);
-      cli.threads_given = true;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      cli.json_path = arg + 7;
-      cli.json_given = true;
-    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      if (!parse_shard_spec(arg + 8, &cli.shard)) {
-        cli.error = std::string("malformed --shard value '") + (arg + 8) +
-                    "' (expected i/K with K >= 1 and i < K)";
-        return cli;
-      }
-      cli.shard_given = true;
-    } else if (std::strncmp(arg, "--shard_json=", 13) == 0) {
-      cli.shard_json_path = arg + 13;
-    } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-      cli.engine = arg + 9;
-      cli.engine_given = true;
+    } else if (take_value(arg, "--json=", &cli.json_path)) {
+      // Any path, including empty (no document).
+    } else if (take_value(arg, "--engine=", &cli.engine)) {
       if (cli.engine != "lockstep" && cli.engine != "event") {
-        cli.error = std::string("unknown --engine value '") + cli.engine +
-                    "' (expected 'lockstep' or 'event')";
-        return cli;
+        return fail("unknown --engine value '" + cli.engine +
+                    "' (expected 'lockstep' or 'event')");
       }
-    } else if (std::strncmp(arg, "--warm_start=", 13) == 0) {
-      cli.warm_start_path = arg + 13;
-      cli.warm_start_given = true;
-    } else if (std::strncmp(arg, "--write_checkpoints=", 20) == 0) {
-      cli.write_checkpoints_path = arg + 20;
-      cli.write_checkpoints_given = true;
+    } else if (take_value(arg, "--warm_start=", &cli.warm_start_path)) {
+      if (cli.warm_start_path.empty()) {
+        return fail("--warm_start needs a bundle path");
+      }
+    } else if (take_value(arg, "--write_checkpoints=",
+                          &cli.write_checkpoints_path)) {
+      if (cli.write_checkpoints_path.empty()) {
+        return fail("--write_checkpoints needs a bundle path");
+      }
+    } else {
+      return fail(std::string("unknown argument '") + arg + "'");
     }
   }
-  if (cli.warm_start_given && cli.warm_start_path.empty()) {
-    cli.error = "--warm_start needs a bundle path";
-    return cli;
-  }
-  if (cli.write_checkpoints_given && cli.write_checkpoints_path.empty()) {
-    cli.error = "--write_checkpoints needs a bundle path";
-    return cli;
-  }
-  if (cli.warm_start_given && cli.write_checkpoints_given) {
-    cli.error =
+  if (!cli.warm_start_path.empty() && !cli.write_checkpoints_path.empty()) {
+    return fail(
         "--warm_start and --write_checkpoints are mutually exclusive (one "
-        "consumes a bundle, the other produces it)";
-    return cli;
-  }
-  if (cli.shard_given && cli.shard_json_path.empty()) {
-    cli.error = "--shard requires --shard_json=PATH (partial report output)";
-  } else if (!cli.shard_given && !cli.shard_json_path.empty()) {
-    cli.error = "--shard_json requires --shard=i/K";
-  } else if (cli.shard_given && cli.json_given) {
-    cli.error =
-        "--shard writes a partial report via --shard_json; --json is for "
-        "single-process runs (merge shards with tools/bench_merge)";
+        "consumes a bundle, the other produces it)");
   }
   return cli;
 }
@@ -366,9 +332,9 @@ JsonWriter& JsonWriter::field(std::string_view key, bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_element(std::string_view json_text) {
+JsonWriter& JsonWriter::element(std::uint64_t value) {
   comma_and_indent();
-  out_ += json_text;
+  out_ += std::to_string(value);
   return *this;
 }
 

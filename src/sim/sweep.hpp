@@ -139,80 +139,27 @@ class SweepRunner {
   std::unique_ptr<WorkerPool> pool_;
 };
 
-// ---- Process-level sharding -------------------------------------------------
-//
-// SweepRunner parallelises one address space; ShardPlanner is the layer above
-// it: a sweep's point grid is deterministically partitioned into K
-// contiguous-by-index shards so independent *processes* (CI matrix jobs,
-// fork-per-shard drivers) each own a slice.  Contiguity is the property the
-// shard-merge step relies on: concatenating the shards' row arrays in shard
-// order reconstructs the serial row order exactly, so the merged report is
-// byte-identical to a single-process run (see sim/shard_merge.hpp).
-
-/// "I am shard `index` of `count`" — the value of a `--shard=i/K` flag.
-struct ShardSpec {
-  unsigned index = 0;
-  unsigned count = 1;
-};
-
-/// Parse "i/K" (e.g. "2/4") into `out`.  Requires K >= 1 and i < K.
-[[nodiscard]] bool parse_shard_spec(const char* text, ShardSpec* out);
-
-/// Half-open index range [begin, end) owned by one shard.
-struct ShardRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  [[nodiscard]] std::size_t size() const { return end - begin; }
-};
-
-/// Deterministic contiguous partition of [0, total_points) into shard_count
-/// slices whose sizes differ by at most one (the first total%count shards get
-/// the extra point).  Shards beyond the point count own empty ranges, so any
-/// K is valid for any grid.
-class ShardPlanner {
- public:
-  ShardPlanner(std::size_t total_points, unsigned shard_count);
-
-  [[nodiscard]] std::size_t total_points() const { return total_points_; }
-  [[nodiscard]] unsigned shard_count() const { return shard_count_; }
-  [[nodiscard]] ShardRange range(unsigned shard_index) const;
-
- private:
-  std::size_t total_points_;
-  unsigned shard_count_;
-};
-
 /// Command-line conventions shared by the sweep benches:
 ///   --threads=N       worker threads for SweepRunner (default 1 == serial)
 ///   --json=PATH       destination for the machine-readable report
-///   --shard=i/K       run only shard i of a K-way contiguous partition
-///   --shard_json=PATH destination for the shard's partial report (manifest +
-///                     owned rows; feed all K to tools/bench_merge)
+///   --engine=lockstep|event  co-simulation scheduler for benches that run
+///                     full co-sims (rows are bit-identical either way, so a
+///                     lock-step document byte-diffs against an event-driven
+///                     one — the CI cross-engine equivalence gate); unset ==
+///                     bench default (event-driven)
 ///   --warm_start=PATH fork every grid point from the checkpoint bundle at
 ///                     PATH instead of simulating its warm-up prefix (rows
 ///                     stay bit-identical to a cold run)
 ///   --write_checkpoints=PATH  capture the grid's warm-up checkpoints, write
 ///                     the bundle to PATH, and exit without running the sweep
+/// Any other argument is an error.  An empty string field means the flag was
+/// not given (the parser rejects empty values).
 struct SweepCli {
   unsigned threads = 1;
   std::string json_path;
-  bool threads_given = false;
-  bool json_given = false;
-  ShardSpec shard;
-  bool shard_given = false;
-  std::string shard_json_path;
-  /// --engine=lockstep|event: co-simulation scheduler for benches that run
-  /// full co-sims (results are bit-identical either way, so a lock-step
-  /// witness diffs cleanly against event-driven shards — the CI cross-engine
-  /// equivalence gate).  Empty == bench default (event-driven).
   std::string engine;
-  bool engine_given = false;
-  /// --warm_start=PATH: checkpoint bundle to fork the grid from.
   std::string warm_start_path;
-  bool warm_start_given = false;
-  /// --write_checkpoints=PATH: capture the grid's checkpoints and exit.
   std::string write_checkpoints_path;
-  bool write_checkpoints_given = false;
   std::string error;  ///< Non-empty when a flag was malformed; exit 2.
 };
 
@@ -241,12 +188,8 @@ class JsonWriter {
     return field(key, std::string_view(value));
   }
 
-  /// Append pre-rendered JSON text as the next array element (comma and
-  /// indentation handled as usual, the text itself verbatim).  This is how
-  /// the shard merge splices rows extracted from partial reports without
-  /// re-parsing them — splicing verbatim is what makes the merged document
-  /// byte-identical to a serial run's.
-  JsonWriter& raw_element(std::string_view json_text);
+  /// Append `value` as the next element of the enclosing array.
+  JsonWriter& element(std::uint64_t value);
 
   [[nodiscard]] const std::string& str() const { return out_; }
   bool write_file(const std::string& path) const;

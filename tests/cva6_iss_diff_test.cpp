@@ -64,6 +64,10 @@ struct RegRegCase {
   std::function<u64(u64, u64)> reference;
 };
 
+// Print a case as its op name. The default printer dumps the struct's bytes,
+// pointers included, which makes the listed test names differ on every run.
+void PrintTo(const RegRegCase& c, std::ostream* os) { *os << c.name; }
+
 class RegRegDiffTest : public ::testing::TestWithParam<RegRegCase> {};
 
 TEST_P(RegRegDiffTest, MatchesReference) {
@@ -179,6 +183,9 @@ struct ImmCase {
   void (Assembler::*emit)(Reg, Reg, i32);
   std::function<u64(u64, i32)> reference;
 };
+
+// Printed as its op name, for the same reason as RegRegCase.
+void PrintTo(const ImmCase& c, std::ostream* os) { *os << c.name; }
 
 class ImmDiffTest : public ::testing::TestWithParam<ImmCase> {};
 

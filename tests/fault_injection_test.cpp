@@ -352,7 +352,7 @@ TEST(ResilienceTest, ParsedPlanReproducesTheOriginalRun) {
 
 TEST(ResilienceTest, FaultFreeFingerprintIsUnchanged) {
   // Fault knobs at their defaults must not perturb existing scenario
-  // fingerprints (shard-merge identity stability across this PR).
+  // fingerprints (report identity stays stable for fault-free grids).
   const std::string serialized =
       burst4("baseline").build().serialize();
   EXPECT_EQ(serialized.find("faults="), std::string::npos);

@@ -61,6 +61,10 @@ struct RegRegCase {
   std::function<u32(u32, u32)> reference;
 };
 
+// Print a case as its op name. The default printer dumps the struct's bytes,
+// pointers included, which makes the listed test names differ on every run.
+void PrintTo(const RegRegCase& c, std::ostream* os) { *os << c.name; }
+
 class IbexRegRegDiffTest : public ::testing::TestWithParam<RegRegCase> {};
 
 TEST_P(IbexRegRegDiffTest, MatchesReference) {

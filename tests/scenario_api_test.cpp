@@ -1,7 +1,7 @@
 // Scenario API tests: skew-proof construction, build()-time validation,
 // deterministic serialization == fingerprint stability, registry queries,
-// the unified RunReport, and shard-merge byte-identity of the typed sweep
-// surface.  Tests are the one place outside src/ allowed to touch the raw
+// the unified RunReport, and thread-count byte-identity of the typed sweep
+// surface's documents.  Tests are the one place outside src/ allowed to touch the raw
 // SocConfig/FirmwareConfig layer (to prove the facade matches it).
 #include <gtest/gtest.h>
 
@@ -94,7 +94,7 @@ TEST(Scenario, SerializationIsDeterministicAndDiscriminating) {
         .build();
   };
   // Round trip: two independent builds of the same parameters serialize
-  // identically (this is what makes the fingerprint stable across shard
+  // identically (this is what makes the fingerprint stable across
   // processes).
   EXPECT_EQ(build().serialize(), build().serialize());
   // Every knob shows up in the identity.
@@ -232,20 +232,11 @@ TEST(OverheadGrid, NamedGridsMatchLiveConfiguration) {
   EXPECT_NE(table2.header().grid_hash, table3.header().grid_hash);
   EXPECT_NE(table2.header().config_fingerprint,
             table3.header().config_fingerprint);
-
-  // micro_sweep is the Table III grid reporting under another bench name.
-  const api::OverheadGrid micro = api::OverheadGrid::micro_sweep();
-  EXPECT_EQ(micro.header().grid_hash, table3.header().grid_hash);
-  EXPECT_EQ(micro.bench(), "micro_sweep");
-
-  EXPECT_EQ(api::OverheadGrid::named("table2").header().grid_hash,
-            table2.header().grid_hash);
-  EXPECT_THROW((void)api::OverheadGrid::named("bogus"), std::invalid_argument);
 }
 
-/// End-to-end: the typed sweep surface's shard partials merge back into a
-/// document byte-identical to its serial run, for K in {1, 2, 3}.
-TEST(ScenarioSweep, ShardMergeByteIdenticalToSerial) {
+/// End-to-end: the typed sweep surface writes the same --json document,
+/// byte for byte, at every thread count.
+TEST(ScenarioSweep, JsonDocumentByteIdenticalAcrossThreadCounts) {
   std::vector<api::Scenario> scenarios;
   for (const unsigned n : {4u, 5u, 6u}) {
     scenarios.push_back(api::ScenarioBuilder()
@@ -256,39 +247,26 @@ TEST(ScenarioSweep, ShardMergeByteIdenticalToSerial) {
   const api::ScenarioSet set("sweep_test", std::move(scenarios));
   const api::SweepPlan<api::RunReport> plan = api::scenario_sweep_plan(set);
 
-  const std::string serial_path = "scenario_sweep_serial.json";
-  sim::SweepCli serial_cli;
-  serial_cli.json_path = serial_path;
-  api::SweepOutcome<api::RunReport> serial_outcome;
-  ASSERT_EQ(api::run_sweep(plan, serial_cli, &serial_outcome), 0);
-  ASSERT_EQ(serial_outcome.rows.size(), set.size());
+  std::vector<std::string> documents;
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    sim::SweepCli cli;
+    cli.threads = threads;
+    cli.json_path = "scenario_sweep_t" + std::to_string(threads) + ".json";
+    api::SweepOutcome<api::RunReport> outcome;
+    ASSERT_EQ(api::run_sweep(plan, cli, &outcome), 0);
+    ASSERT_EQ(outcome.rows.size(), set.size());
+    EXPECT_EQ(outcome.threads, threads);
 
-  std::ifstream serial_stream(serial_path);
-  std::ostringstream serial_doc;
-  serial_doc << serial_stream.rdbuf();
-
-  for (const unsigned shard_count : {1u, 2u, 3u}) {
-    std::vector<std::string> partial_paths;
-    for (unsigned shard = 0; shard < shard_count; ++shard) {
-      sim::SweepCli cli;
-      cli.shard_given = true;
-      cli.shard.index = shard;
-      cli.shard.count = shard_count;
-      cli.shard_json_path = "scenario_sweep_shard" + std::to_string(shard) +
-                            "_of" + std::to_string(shard_count) + ".json";
-      partial_paths.push_back(cli.shard_json_path);
-      api::SweepOutcome<api::RunReport> outcome;
-      ASSERT_EQ(api::run_sweep(plan, cli, &outcome), 0);
-    }
-    const sim::MergeResult merged = sim::merge_shard_files(partial_paths);
-    ASSERT_TRUE(merged.ok) << merged.error;
-    EXPECT_EQ(merged.merged + "\n", serial_doc.str())
-        << "K=" << shard_count << " merge is not byte-identical";
-    for (const std::string& path : partial_paths) {
-      std::remove(path.c_str());
-    }
+    std::ifstream stream(cli.json_path);
+    std::ostringstream document;
+    document << stream.rdbuf();
+    documents.push_back(document.str());
+    std::remove(cli.json_path.c_str());
   }
-  std::remove(serial_path.c_str());
+  ASSERT_NE(documents[0].find("\"scenario\": \"fib6\""), std::string::npos)
+      << documents[0];
+  EXPECT_EQ(documents[1], documents[0]) << "threads=2 document differs";
+  EXPECT_EQ(documents[2], documents[0]) << "threads=3 document differs";
 }
 
 }  // namespace

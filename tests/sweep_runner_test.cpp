@@ -1,6 +1,7 @@
 // SweepRunner: deterministic ordered aggregation (parallel output
-// byte-identical to serial at any thread count), sharding behaviour,
-// exception propagation, and the JSON emitter.
+// byte-identical to serial at any thread count), job distribution,
+// exception propagation, the shared sweep CLI, the JSON emitter, and the
+// report fingerprint.
 #include "sim/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "sim/rng.hpp"
+#include "sim/sweep_doc.hpp"
 #include "titancfi/overhead_model.hpp"
 #include "workloads/embench.hpp"
 
@@ -51,7 +53,7 @@ TEST(SweepRunner, ParallelIdenticalToSerialAtAnyThreadCount) {
 }
 
 TEST(SweepRunner, OverheadModelSweepIsDeterministicAcrossThreads) {
-  // The real workload the benches shard: calibrate + replay a benchmark
+  // The real workload the benches sweep: calibrate + replay a benchmark
   // point through the trace-driven overhead model.
   const auto& table = titan::workloads::benchmark_table();
   const std::size_t count = std::min<std::size_t>(table.size(), 6);
@@ -117,19 +119,30 @@ TEST(SweepRunner, EmptySweepIsANoOp) {
 }
 
 TEST(SweepCli, ParsesThreadsAndJsonFlags) {
-  const char* argv[] = {"bench", "--threads=6", "--json=out.json", "--other"};
+  const char* argv[] = {"bench", "--threads=6", "--json=out.json"};
   const SweepCli cli =
-      parse_sweep_cli(4, const_cast<char**>(argv), "default.json");
-  EXPECT_TRUE(cli.threads_given);
+      parse_sweep_cli(3, const_cast<char**>(argv), "default.json");
+  EXPECT_TRUE(cli.error.empty()) << cli.error;
   EXPECT_EQ(cli.threads, 6u);
   EXPECT_EQ(cli.json_path, "out.json");
 
   const char* bare[] = {"bench"};
   const SweepCli defaults =
       parse_sweep_cli(1, const_cast<char**>(bare), "default.json");
-  EXPECT_FALSE(defaults.threads_given);
+  EXPECT_TRUE(defaults.error.empty()) << defaults.error;
   EXPECT_EQ(defaults.threads, 1u);
   EXPECT_EQ(defaults.json_path, "default.json");
+
+  // Unrecognised flags are errors, not silently ignored: a typo, and a flag
+  // that no sweep bench accepts any more.
+  for (const char* unknown : {"--thredas=4", "--shard=0/2"}) {
+    const char* typo[] = {"bench", "--threads=4", unknown};
+    const SweepCli rejected = parse_sweep_cli(3, const_cast<char**>(typo));
+    EXPECT_NE(rejected.error.find(unknown), std::string::npos)
+        << unknown << ": " << rejected.error;
+    EXPECT_NE(rejected.error.find("usage:"), std::string::npos)
+        << rejected.error;
+  }
 }
 
 TEST(JsonWriter, EmitsOrderedNestedStructure) {
@@ -149,6 +162,10 @@ TEST(JsonWriter, EmitsOrderedNestedStructure) {
       .field("x", 2)
       .end_object()
       .end_array()
+      .begin_array("hist")
+      .element(std::uint64_t{7})
+      .element(std::uint64_t{0})
+      .end_array()
       .end_object();
   const std::string expected =
       "{\n"
@@ -165,9 +182,30 @@ TEST(JsonWriter, EmitsOrderedNestedStructure) {
       "    {\n"
       "      \"x\": 2\n"
       "    }\n"
+      "  ],\n"
+      "  \"hist\": [\n"
+      "    7,\n"
+      "    0\n"
       "  ]\n"
       "}";
   EXPECT_EQ(json.str(), expected);
+}
+
+TEST(JsonWriter, CStringFieldEmitsStringNotBool) {
+  JsonWriter json;
+  const char* label = "irq/baseline/burst1";
+  json.begin_object().field("config", label).end_object();
+  EXPECT_NE(json.str().find("\"config\": \"irq/baseline/burst1\""),
+            std::string::npos)
+      << json.str();
+}
+
+TEST(Fingerprint, StableAndDiscriminating) {
+  EXPECT_EQ(fingerprint_hex("grid-a"), fingerprint_hex("grid-a"));
+  EXPECT_NE(fingerprint_hex("grid-a"), fingerprint_hex("grid-b"));
+  EXPECT_EQ(fingerprint_hex("x").size(), 16u);
+  // FNV-1a 64 published reference value for the empty string.
+  EXPECT_EQ(fingerprint64(""), 14695981039346656037ull);
 }
 
 }  // namespace

@@ -448,8 +448,8 @@ TEST(WarmStartTest, WarmStartedGridKeepsIdentityAndRejectsGaps) {
   }
   const api::ScenarioSet warm = api::warm_started(grid, cache);
   ASSERT_EQ(warm.size(), grid.size());
-  // Identity (header / config fingerprint) unchanged: warm shard partials
-  // must merge byte-identically into cold serial documents.
+  // Identity (header / config fingerprint) unchanged: a warm document must
+  // be byte-identical to a cold one.
   EXPECT_EQ(warm.header().grid_hash, grid.header().grid_hash);
   EXPECT_EQ(warm.header().config_fingerprint,
             grid.header().config_fingerprint);

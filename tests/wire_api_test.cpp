@@ -227,7 +227,7 @@ TEST(WireResponse, ErrorDetailFieldsRenderOnlyWhenSet) {
 // ---- api::ReportSchema versioning -------------------------------------------
 
 TEST(ReportSchema, DefaultRenderingMatchesLegacyEmission) {
-  // The flag defaults OFF so committed BENCH_*.json and the shard-merge
+  // The flag defaults OFF so committed BENCH_*.json and the sweep documents'
   // byte-identity stay unchanged: the default schema must not mention the
   // version field at all.
   const api::RunReport report = api::run_scenario(

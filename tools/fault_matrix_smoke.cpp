@@ -63,18 +63,19 @@ int main(int argc, char** argv) {
       engine_given = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       json_path = arg + 7;
-    } else if (std::strncmp(arg, "--warm_start=", 13) == 0) {
+    } else if (std::strncmp(arg, "--warm_start=", 13) == 0 &&
+               arg[13] != '\0') {
       checkpoint_cli.warm_start_path = arg + 13;
-      checkpoint_cli.warm_start_given = true;
-    } else if (std::strncmp(arg, "--write_checkpoints=", 20) == 0) {
+    } else if (std::strncmp(arg, "--write_checkpoints=", 20) == 0 &&
+               arg[20] != '\0') {
       checkpoint_cli.write_checkpoints_path = arg + 20;
-      checkpoint_cli.write_checkpoints_given = true;
     } else {
       std::cerr << "fault_matrix_smoke: unknown flag '" << arg << "'\n";
       return usage();
     }
   }
-  if (checkpoint_cli.warm_start_given && checkpoint_cli.write_checkpoints_given) {
+  if (!checkpoint_cli.warm_start_path.empty() &&
+      !checkpoint_cli.write_checkpoints_path.empty()) {
     std::cerr << "fault_matrix_smoke: --warm_start and --write_checkpoints "
                  "are mutually exclusive\n";
     return usage();
