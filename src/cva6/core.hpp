@@ -90,6 +90,26 @@ class Cva6Core {
   /// commit per cycle.
   [[nodiscard]] bool has_pending_cfi() const { return rob_cfi_count_ > 0; }
 
+  /// True when the ROB head is a ready CFI-relevant entry and the issue
+  /// stage is idle (ROB full or core halted).  While the CFI stage refuses
+  /// that head, a cycle changes nothing here but the clock and the stall
+  /// count, which note_stalled_cycles replays.
+  [[nodiscard]] bool cfi_head_blocks_issue() const {
+    if (rob_size_ == 0) {
+      return false;
+    }
+    const RobEntry& head = rob_[rob_head_];
+    return head.entry.cfi_relevant() && head.ready <= cycle_ &&
+           (halted_ || rob_size_ >= config_.rob_depth);
+  }
+
+  /// Event-engine replay of `cycles` commit cycles in which the CFI stage
+  /// retired nothing while cfi_head_blocks_issue() held.
+  void note_stalled_cycles(Cycle cycles) {
+    cycle_ += cycles;
+    stall_cycles_ += cycles;
+  }
+
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] bool program_done() const {
     return halted_ && rob_size_ == 0;

@@ -10,8 +10,10 @@
 // are bit-exact across both co-simulation engines.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -32,6 +34,27 @@ class FaultInjector {
   /// Pair a detection with the oldest undetected injection at `site` (no-op
   /// when none is pending, e.g. a retry that was not fault-induced).
   void note_detected(sim::FaultSite site, sim::Cycle now);
+
+  /// Upcoming `site` events, starting at the next one, that no fault spec
+  /// targets (UINT64_MAX when none is scheduled at or past the ordinal).
+  /// The event engine clamps a fast-forward window to this count, so every
+  /// event it skips is one that fire() would have let pass.
+  [[nodiscard]] std::uint64_t quiet_events(sim::FaultSite site) const {
+    const std::uint64_t ordinal = ordinal_[static_cast<std::size_t>(site)];
+    std::uint64_t quiet = std::numeric_limits<std::uint64_t>::max();
+    for (const sim::FaultSpec& spec : plan_.faults) {
+      if (spec.site == site && spec.nth >= ordinal) {
+        quiet = std::min(quiet, spec.nth - ordinal);
+      }
+    }
+    return quiet;
+  }
+
+  /// Advance `site`'s ordinal past `count` events without firing; valid only
+  /// for count <= quiet_events(site).
+  void skip(sim::FaultSite site, std::uint64_t count) {
+    ordinal_[static_cast<std::size_t>(site)] += count;
+  }
 
   /// Injected/detected counts and the detection-latency histogram.  The
   /// retry/drop/degraded counters live in the components that own them;

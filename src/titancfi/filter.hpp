@@ -38,6 +38,14 @@ class CfiFilter {
   /// scanned counter bit-identical to the per-cycle lock-step engine.
   void note_scanned(std::uint64_t count) { scanned_ += count; }
 
+  /// Account for `count` re-presentations of a CFI-relevant entry the commit
+  /// stage is holding back (a back-pressure window the event engine skipped):
+  /// each one is scanned and selected again, exactly as filter() would.
+  void note_reselected(std::uint64_t count) {
+    scanned_ += count;
+    selected_ += count;
+  }
+
   /// Checkpoint support (the filter is pure; only its counters persist).
   void save_state(sim::SnapshotWriter& writer) const {
     writer.u64(scanned_);

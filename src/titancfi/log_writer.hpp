@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -120,6 +121,24 @@ class LogWriter {
   void set_attack_tracker(AttackTracker* tracker) { tracker_ = tracker; }
 
   [[nodiscard]] State state() const { return state_; }
+
+  /// True when tick(now) can only count a wait cycle: the doorbell is rung,
+  /// the bus is free, and no completion has arrived.  The RoT's completion
+  /// write or the watchdog deadline ends this.
+  [[nodiscard]] bool awaiting_verdict(Cycle now) const {
+    return state_ == State::kWaitCompletion && now >= busy_until_ &&
+           !mailbox_.completion_pending();
+  }
+  /// First cycle at which the doorbell watchdog acts on the current wait
+  /// (UINT64_MAX without a watchdog).
+  [[nodiscard]] Cycle watchdog_deadline() const {
+    return config_.doorbell_timeout > 0
+               ? wait_started_ + retry_window_
+               : std::numeric_limits<Cycle>::max();
+  }
+  /// Event-engine replay of `cycles` skipped ticks while awaiting_verdict().
+  void note_waited_cycles(std::uint64_t cycles) { wait_cycles_ += cycles; }
+
   [[nodiscard]] const LogWriterConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t logs_sent() const { return logs_sent_; }
   /// Doorbell-delimited transfers (== logs_sent() when burst is 1).

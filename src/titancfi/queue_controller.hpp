@@ -167,13 +167,13 @@ class QueueController {
   /// Largest burst a single drain() call has popped.
   [[nodiscard]] std::size_t max_drained() const { return max_drained_; }
 
-  /// Event-driven fast-forward accounting: the scheduler skipped `cycles`
-  /// evaluate() calls during which the host provably retired no CFI-relevant
-  /// instruction (so nothing was pushed, nothing stalled, and the occupancy
-  /// never changed).  `port0_scans`/`port1_scans` are the entries each
-  /// per-port filter would have scanned (even/odd candidate indices, exactly
-  /// as evaluate() attributes them).  Replays the exact statistics the
-  /// lock-step loop would have accumulated.
+  /// Replay for the event engine's quiescent windows: the scheduler skipped
+  /// `cycles` evaluate() calls during which the host provably retired no
+  /// CFI-relevant instruction (so nothing was pushed, nothing stalled, and
+  /// the empty queue's occupancy never changed).  `port0_scans`/`port1_scans`
+  /// are the entries each per-port filter would have scanned (even/odd
+  /// candidate indices, exactly as evaluate() attributes them).  The
+  /// back-pressure windows replay through note_full_stall_cycles instead.
   void note_bypassed_cycles(std::uint64_t cycles, std::uint64_t port0_scans,
                             std::uint64_t port1_scans) {
     filters_[0].note_scanned(port0_scans);
@@ -184,6 +184,29 @@ class QueueController {
   /// True when the queue side of the CFI stage can generate no event before
   /// new commit-stage input: nothing queued for the Log Writer to pop.
   [[nodiscard]] bool quiescent() const { return queue_.empty(); }
+
+  /// True when a CFI-relevant commit candidate on port 0 can only stall:
+  /// back-pressure policy, no forced-overflow burst in flight, queue full.
+  /// Nothing but a Log Writer pop changes this.
+  [[nodiscard]] bool blocked_on_full() const {
+    return overflow_policy_ == OverflowPolicy::kBackPressure &&
+           force_full_remaining_ == 0 && queue_.full();
+  }
+
+  /// Replay for the event engine's back-pressure windows: `cycles`
+  /// evaluate() calls skipped while blocked_on_full() held and the ROB head
+  /// was a ready CFI-relevant entry.  Each one scanned and selected that
+  /// head on port 0, spent one queue-overflow event ordinal (the caller
+  /// clamps the window so none of them fires), counted one full stall, and
+  /// sampled the unchanged occupancy.
+  void note_full_stall_cycles(std::uint64_t cycles) {
+    filters_[0].note_reselected(cycles);
+    if (injector_ != nullptr) {
+      injector_->skip(sim::FaultSite::kQueueOverflow, cycles);
+    }
+    full_stalls_ += cycles;
+    queue_.sample_n(cycles);
+  }
 
   [[nodiscard]] CfiQueue& queue() { return queue_; }
   [[nodiscard]] const CfiQueue& queue() const { return queue_; }

@@ -23,6 +23,7 @@ std::uint32_t sram_latency(RotFabric fabric) {
 RotSubsystem::RotSubsystem(const rv::Image& firmware, RotFabric fabric,
                            soc::Mailbox& mailbox, sim::Memory& soc_memory)
     : firmware_(firmware),
+      mailbox_(mailbox),
       soc_mem_target_(soc_memory),
       tlul_("tlul", hop_latency(fabric)) {
   rom_.load(firmware.base, firmware.bytes);
@@ -47,7 +48,7 @@ RotSubsystem::RotSubsystem(const rv::Image& firmware, RotFabric fabric,
   tlul_.map(soc::kRotHmacAccel, *hmac_, sram_latency(fabric), "hmac");
 
   plic_.enable(kCfiDoorbellIrq);
-  mailbox.set_on_doorbell([this] { plic_.raise(kCfiDoorbellIrq); });
+  mailbox_.set_on_doorbell([this] { plic_.raise(kCfiDoorbellIrq); });
 
   // Sorted section table for section_of(): std::map iterates marks in name
   // order and "address <= pc, address >= best-so-far" lets a later map entry
@@ -65,7 +66,8 @@ ibex::IbexStep RotSubsystem::step() {
   return core_->step();
 }
 
-void RotSubsystem::run_until(sim::Cycle target) {
+std::optional<sim::Cycle> RotSubsystem::run_until(sim::Cycle target,
+                                                  bool stop_on_completion) {
   while (core_->cycle() < target && !core_->halted()) {
     if (core_->cycle() < stall_until_) {
       // Injected stall window: the clock ticks, the pipeline is frozen.
@@ -75,10 +77,15 @@ void RotSubsystem::run_until(sim::Cycle target) {
     core_->set_irq_line(plic_.irq_asserted());
     if (core_->sleeping() && !plic_.irq_asserted()) {
       core_->advance_clock(target - core_->cycle());
-      return;
+      break;
     }
+    const sim::Cycle started = core_->cycle();
     core_->step();
+    if (stop_on_completion && mailbox_.completion_pending()) {
+      return started;
+    }
   }
+  return std::nullopt;
 }
 
 void RotSubsystem::capture(sim::Snapshot& snapshot,

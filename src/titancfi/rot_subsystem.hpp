@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +54,11 @@ class RotSubsystem {
   ibex::IbexStep step();
 
   /// Run until the Ibex clock reaches `target` (fast-forwards sleep time).
-  void run_until(sim::Cycle target);
+  /// With `stop_on_completion`, return right after the first step that
+  /// raises the mailbox completion instead, yielding the Ibex cycle that
+  /// step started at (the event engine's back-pressure windows end there).
+  std::optional<sim::Cycle> run_until(sim::Cycle target,
+                                      bool stop_on_completion = false);
 
   /// Fault seam: freeze the Ibex pipeline for `width` cycles starting at the
   /// current Ibex clock (the clock still advances; no instruction executes).
@@ -90,6 +95,7 @@ class RotSubsystem {
 
  private:
   rv::Image firmware_;
+  soc::Mailbox& mailbox_;
   /// firmware_.marks flattened and sorted by (address, name): the section
   /// owning a PC is the last entry with address <= pc, which reproduces the
   /// seed linear scan's "greatest address, later map entry wins ties" rule.

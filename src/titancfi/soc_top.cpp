@@ -261,6 +261,7 @@ bool SocTop::take_checkpoint(sim::Cycle cycle, bool force) {
 }
 
 void SocTop::step_cycle(sim::Cycle& cycle) {
+  ++stepped_cycles_;
   host_now_ = cycle;
   const auto candidates = host_core_->commit_candidates();
   const unsigned allowed = queue_controller_.evaluate(candidates);
@@ -331,6 +332,64 @@ bool SocTop::quiescent() const {
          !host_core_->has_pending_cfi();
 }
 
+sim::Cycle SocTop::window_limit(sim::Cycle cycle) const {
+  // A pending checkpoint clamps every fast-forward window so both engines
+  // capture at the identical loop-top cycle; a budget clamps it so the stop
+  // lands exactly at the budget cycle on both engines; an armed cancel token
+  // clamps it to the check stride so cancellation latency stays bounded
+  // even on straight-line workloads.
+  sim::Cycle limit = config_.max_cycles;
+  if (checkpoint_at_) {
+    limit = std::min(limit, *checkpoint_at_);
+  }
+  if (budget_ != 0) {
+    limit = std::min(limit, budget_);
+  }
+  if (cancel_ != nullptr) {
+    limit = std::min(limit, cycle + cancel_stride_);
+  }
+  return limit;
+}
+
+bool SocTop::stalled_on_rot(sim::Cycle cycle) const {
+  return queue_controller_.blocked_on_full() &&
+         host_core_->cfi_head_blocks_issue() &&
+         log_writer_->awaiting_verdict(cycle);
+}
+
+sim::Cycle SocTop::skip_stalled_cycles(sim::Cycle cycle, sim::Cycle limit) {
+  // The watchdog acts on its deadline cycle, which must be stepped.
+  const sim::Cycle end = std::min(limit, log_writer_->watchdog_deadline());
+  if (end <= cycle) {
+    return 0;
+  }
+  // Every skipped cycle is one queue-overflow event (the blocked head is a
+  // push attempt), so the window must end before the next scheduled one.
+  sim::Cycle span = end - cycle;
+  if (injector_ != nullptr) {
+    span = std::min<sim::Cycle>(
+        span, injector_->quiet_events(sim::FaultSite::kQueueOverflow));
+    if (span == 0) {
+      return 0;
+    }
+  }
+  // Lock-step runs the RoT to h + kRotInitBudget at host cycle h, so a
+  // completion raised by a step starting at Ibex cycle c_s is first seen by
+  // the writer on the cycle after h* = c_s + 1 - kRotInitBudget: the window
+  // ends at h*, or at its clamp if the RoT does not complete before.
+  sim::Cycle last = cycle + span - 1;
+  if (const auto started =
+          rot_->run_until(last + kRotInitBudget, /*stop_on_completion=*/true)) {
+    last = std::max(cycle + kRotInitBudget, *started + 1) - kRotInitBudget;
+  }
+  rot_->run_until(last + kRotInitBudget);
+  const sim::Cycle skipped = last + 1 - cycle;
+  host_core_->note_stalled_cycles(skipped);
+  queue_controller_.note_full_stall_cycles(skipped);
+  log_writer_->note_waited_cycles(skipped);
+  return skipped;
+}
+
 SocRunResult SocTop::run_event_driven() {
   sim::Cycle cycle = start_cycle_;
   rot_->run_until(kRotInitBudget);
@@ -351,22 +410,7 @@ SocRunResult SocTop::run_event_driven() {
       // iterations would have sampled an empty queue, scanned non-CFI
       // entries through the filters, ticked an idle writer (a no-op), and
       // run the RoT to the same final clock — all replayed exactly below.
-      // A pending checkpoint clamps the quantum so both engines capture at
-      // the identical loop-top cycle; a budget clamps it so the stop lands
-      // exactly at the budget cycle on both engines; an armed cancel token
-      // clamps it to the check stride so cancellation latency stays bounded
-      // even on straight-line workloads.
-      sim::Cycle limit = config_.max_cycles;
-      if (checkpoint_at_) {
-        limit = std::min(limit, *checkpoint_at_);
-      }
-      if (budget_ != 0) {
-        limit = std::min(limit, budget_);
-      }
-      if (cancel_ != nullptr) {
-        limit = std::min(limit, cycle + cancel_stride_);
-      }
-      const auto quantum = host_core_->run_until_event(limit);
+      const auto quantum = host_core_->run_until_event(window_limit(cycle));
       if (quantum.cycles > 0) {
         queue_controller_.note_bypassed_cycles(
             quantum.cycles, quantum.port0_scans, quantum.port1_scans);
@@ -375,6 +419,17 @@ SocRunResult SocTop::run_event_driven() {
         // (cycle - 1) + budget; the next iteration (per-cycle or quantum)
         // advances it further, preserving the tick/run_until interleaving.
         rot_->run_until(cycle - 1 + kRotInitBudget);
+        continue;
+      }
+    } else if (stalled_on_rot(cycle)) {
+      // Back-pressure window: the host is blocked on a full queue and the
+      // writer waits on the RoT, so nothing host-side moves until the RoT
+      // writes its completion.  The skipped lock-step iterations would have
+      // re-filtered and stalled the same head, sampled the same occupancy,
+      // counted a writer wait cycle, and stepped the RoT — replayed below.
+      if (const sim::Cycle skipped =
+              skip_stalled_cycles(cycle, window_limit(cycle))) {
+        cycle += skipped;
         continue;
       }
     }

@@ -46,8 +46,11 @@ enum class Engine {
   /// Fast-forward between CFI events: while the CFI queue is empty, the Log
   /// Writer idle, the mailbox quiet, and no CFI-relevant instruction is in
   /// the host ROB, the host retires straight-line work in one batched
-  /// quantum and the RoT clock advances once per quantum.  Falls back to
-  /// exact per-cycle stepping inside event windows.
+  /// quantum and the RoT clock advances once per quantum.  While the host
+  /// is blocked on a full queue and the writer waits on the RoT's verdict,
+  /// the RoT runs to its completion write and the stalled host cycles are
+  /// replayed arithmetically.  Falls back to exact per-cycle stepping
+  /// everywhere else.
   kEventDriven,
 };
 
@@ -173,13 +176,27 @@ class SocTop {
   [[nodiscard]] LogWriter& log_writer() { return *log_writer_; }
   [[nodiscard]] const SocConfig& config() const { return config_; }
 
+  /// Host cycles this SoC's main loop has stepped one at a time, i.e. not
+  /// skipped by a fast-forward window; on lock-step, every cycle it ran.
+  /// An execution statistic, not state: absent from reports and snapshots.
+  [[nodiscard]] sim::Cycle stepped_cycles() const { return stepped_cycles_; }
+
+  /// The event engine's second fast-forward predicate, the back-pressure
+  /// window, at loop-top cycle `cycle`: the queue is full under
+  /// kBackPressure with no forced-overflow burst, the host's ROB head is a
+  /// ready CFI-relevant entry with issue idle, and the Log Writer waits on a
+  /// verdict.  Only the RoT's completion write (or the watchdog) can end
+  /// it; only the RoT reads the doorbell.
+  [[nodiscard]] bool stalled_on_rot(sim::Cycle cycle) const;
+
   /// Freeze the full deterministic SoC state at loop-top cycle `cycle`:
   /// host DRAM / RoT ROM / RoT SRAM as CoW memory images plus the flat
   /// component stream (host core, queue controller, log writer, mailbox,
   /// AXI fabric, fault injector, RoT subsystem).  host_now_ is dead at every
   /// loop-top boundary (reassigned before any use in step_cycle and
-  /// drain_pending) and the only engine-divergent member, so it is
-  /// deliberately not serialized.  The caller seals the snapshot.
+  /// drain_pending) and, with the stepped_cycles() statistic, one of the two
+  /// engine-divergent members, so neither is serialized.  The caller seals
+  /// the snapshot.
   void capture(sim::Snapshot& snapshot, sim::Cycle cycle) const;
 
   /// Rebuild the captured state.  The SocConfig and program images must match
@@ -215,11 +232,24 @@ class SocTop {
   /// Fire the pending checkpoint if due (`cycle` reached it, or `force` at
   /// main-loop exit); returns true when run() should stop (stop_after).
   bool take_checkpoint(sim::Cycle cycle, bool force);
-  /// True when no component can generate a CFI event before new host commit
-  /// input: empty CFI queue, idle Log Writer, quiet mailbox, and no
-  /// CFI-relevant instruction in the host ROB.  In this state the engine may
-  /// fast-forward all agents to the next host-side event in one quantum.
+  /// First fast-forward predicate: no component can generate a CFI event
+  /// before new host commit input — empty CFI queue, idle Log Writer, quiet
+  /// mailbox, and no CFI-relevant instruction in the host ROB.  The engine
+  /// then retires straight-line host work in one quantum
+  /// (Cva6Core::run_until_event) and replays the skipped filter scans and
+  /// empty-queue samples (QueueController::note_bypassed_cycles).
   [[nodiscard]] bool quiescent() const;
+  /// End (exclusive) of any fast-forward window starting at `cycle`: the
+  /// cycle guard, a pending checkpoint, the budget, and the cancel stride.
+  [[nodiscard]] sim::Cycle window_limit(sim::Cycle cycle) const;
+  /// Run one back-pressure window from `cycle`: clamp it to `limit`, the
+  /// watchdog deadline and the next scheduled queue-overflow fault, advance
+  /// the RoT to the cycle the writer would first see its completion, and
+  /// replay each skipped cycle's stall (host clock and stall count, filter
+  /// scan and select, overflow ordinal, full stall, occupancy sample, writer
+  /// wait cycle).  Returns the host cycles skipped (0 when the window is
+  /// empty and the cycle must be stepped).
+  sim::Cycle skip_stalled_cycles(sim::Cycle cycle, sim::Cycle limit);
 
   SocConfig config_;
   sim::Memory host_memory_;
@@ -232,9 +262,14 @@ class SocTop {
   std::unique_ptr<LogWriter> log_writer_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<AttackTracker> tracker_;
-  /// Host cycle the components are currently stepping (fault timestamping;
-  /// only advanced in per-cycle windows, where both engines agree on it).
+  /// Host cycle the components are currently stepping (fault timestamping).
+  /// Set only by stepped cycles, where both engines agree on it.  Neither
+  /// fast-forward window reads it: a quiescent quantum fires no fault site
+  /// and a back-pressure window is clamped to end before the next scheduled
+  /// queue-overflow fault.
   sim::Cycle host_now_ = 0;
+  /// Host cycles run() stepped one at a time (see stepped_cycles()).
+  sim::Cycle stepped_cycles_ = 0;
   CommitLog fault_log_{};
   bool fault_seen_ = false;
   soc::Pmp pmp_;

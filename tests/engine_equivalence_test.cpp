@@ -8,7 +8,10 @@
 // the fault cycle must match exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,16 +38,29 @@ struct Observed {
   std::uint64_t plic_claims = 0;
   std::uint64_t completion_count = 0;
   std::uint64_t hmac_starts = 0;
+  /// How the engine got there (never compared across engines).
+  sim::Cycle stepped_cycles = 0;
+  /// The run stopped at a loop-top cycle inside a back-pressure window.
+  bool stopped_in_window = false;
 };
 
-Observed run_with_engine(const api::Scenario& scenario, api::Engine engine) {
+/// Applied to the constructed SoC before run() (limits, warm restore, ...).
+using Setup = std::function<void(cfi::SocTop&, Observed&)>;
+
+Observed run_with_engine(const api::Scenario& scenario, api::Engine engine,
+                         const Setup& setup = {}) {
   const api::Scenario variant = scenario.with_engine(engine);
   const auto soc = variant.make_soc();
   Observed o;
   soc->log_writer().set_log_capture(
       [&o](const cfi::CommitLog& log) { o.stream.push_back(log); });
   soc->host().set_trace_enabled(true);
+  if (setup) {
+    setup(*soc, o);
+  }
   o.result = soc->run();
+  o.stepped_cycles = soc->stepped_cycles();
+  o.stopped_in_window = soc->stalled_on_rot(soc->host().cycle());
   o.trace = soc->host().ordered_trace();
   for (unsigned port = 0; port < 2; ++port) {
     o.filter_scanned[port] = soc->queue_controller().filter(port).scanned();
@@ -61,13 +77,10 @@ Observed run_with_engine(const api::Scenario& scenario, api::Engine engine) {
   return o;
 }
 
-void expect_equivalent(const api::Scenario& scenario) {
-  SCOPED_TRACE("scenario: " + scenario.serialize());
-  const Observed lock = run_with_engine(scenario, api::Engine::kLockStep);
-  const Observed event = run_with_engine(scenario, api::Engine::kEventDriven);
-
+void expect_same(const Observed& lock, const Observed& event) {
   // Every RunResult field, including the fault log and cycle counts (the
   // fault cycle is part of result.cycles for attack scenarios).
+  EXPECT_EQ(lock.result.stop, event.result.stop);
   EXPECT_EQ(lock.result.cycles, event.result.cycles);
   EXPECT_EQ(lock.result.instructions, event.result.instructions);
   EXPECT_EQ(lock.result.cf_logs, event.result.cf_logs);
@@ -121,6 +134,12 @@ void expect_equivalent(const api::Scenario& scenario) {
   EXPECT_EQ(lock.plic_claims, event.plic_claims);
   EXPECT_EQ(lock.completion_count, event.completion_count);
   EXPECT_EQ(lock.hmac_starts, event.hmac_starts);
+}
+
+void expect_equivalent(const api::Scenario& scenario, const Setup& setup = {}) {
+  SCOPED_TRACE("scenario: " + scenario.serialize());
+  expect_same(run_with_engine(scenario, api::Engine::kLockStep, setup),
+              run_with_engine(scenario, api::Engine::kEventDriven, setup));
 }
 
 // ---- The full registry grid -------------------------------------------------
@@ -240,6 +259,155 @@ TEST(EngineEquivalenceFuzz, RandomFaultPlans) {
         .overflow_policy(kPolicies[rng.next() % 3])
         .faults(plan);
     expect_equivalent(builder.build());
+  }
+}
+
+// ---- Back-pressure windows ---------------------------------------------------
+//
+// Engine equivalence cannot tell a fast path that never fires from one that
+// is exact, so first prove the windows are taken: the event engine steps
+// only a small share of a stall-bound run's cycles, and lock-step steps
+// every one.
+
+TEST(BackPressureWindow, EventEngineStepsFewStallBoundCycles) {
+  for (const char* name :
+       {"irq/baseline/burst1", "drain/burst1", "faults/doorbell_drop"}) {
+    SCOPED_TRACE(name);
+    const api::Scenario* scenario = api::ScenarioRegistry::global().find(name);
+    ASSERT_NE(scenario, nullptr);
+    const Observed lock = run_with_engine(*scenario, api::Engine::kLockStep);
+    const Observed event =
+        run_with_engine(*scenario, api::Engine::kEventDriven);
+    EXPECT_EQ(lock.stepped_cycles, lock.result.cycles);
+    EXPECT_LE(event.stepped_cycles * 100, event.result.cycles * 15)
+        << event.stepped_cycles << " of " << event.result.cycles
+        << " cycles stepped";
+  }
+}
+
+// Clamp boundaries: every limit the window honours (budget, checkpoint,
+// cancel stride, watchdog deadline, scheduled overflow fault) is placed
+// inside a back-pressure window of a stall-bound run, and both engines must
+// still agree on the full observed state.
+
+api::ScenarioBuilder stall_bound_fib12() {
+  return api::ScenarioBuilder()
+      .name("stall_bound_fib12")
+      .workload(api::Workload::fib(12))
+      .queue_depth(8)
+      .drain_burst(1);
+}
+
+/// Arms a cancel token that never fires, a budget, and a quantum stride.
+Setup run_limits(sim::Cycle budget, sim::Cycle stride) {
+  auto token = std::make_shared<sim::CancelToken>();
+  return [token, budget, stride](cfi::SocTop& soc, Observed&) {
+    soc.set_run_limits(token.get(), budget, stride);
+  };
+}
+
+TEST(BackPressureWindow, BudgetSweepStopsIdenticallyInsideWindows) {
+  const api::Scenario scenario = stall_bound_fib12().build();
+  unsigned in_window = 0;
+  constexpr unsigned kBudgets = 24;
+  for (unsigned i = 0; i < kBudgets; ++i) {
+    const sim::Cycle budget = 3001 + 7919 * sim::Cycle{i};
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const Observed lock = run_with_engine(scenario, api::Engine::kLockStep,
+                                          run_limits(budget, 0));
+    const Observed event = run_with_engine(scenario, api::Engine::kEventDriven,
+                                           run_limits(budget, 0));
+    EXPECT_EQ(lock.result.stop, cfi::StopCause::kBudget);
+    EXPECT_EQ(lock.result.cycles, budget);
+    expect_same(lock, event);
+    EXPECT_EQ(lock.stopped_in_window, event.stopped_in_window);
+    in_window += lock.stopped_in_window ? 1 : 0;
+  }
+  // The run is stall-bound, so nearly every budget lands mid-window.
+  EXPECT_GE(in_window * 4, kBudgets * 3) << in_window << " of " << kBudgets;
+}
+
+TEST(BackPressureWindow, OddCancelStrideSplitsWindowsExactly) {
+  const api::Scenario scenario = stall_bound_fib12().build();
+  for (const sim::Cycle stride : {sim::Cycle{1}, sim::Cycle{37},
+                                  sim::Cycle{257}}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    expect_equivalent(scenario, run_limits(0, stride));
+  }
+}
+
+TEST(BackPressureWindow, CheckpointInsideWindowForksBitExact) {
+  const api::Scenario scenario = stall_bound_fib12().build();
+  // The first budget stop that lands inside a window is the checkpoint.
+  sim::Cycle at = 0;
+  for (sim::Cycle probe = 4001; at == 0; probe += 613) {
+    ASSERT_LT(probe, 40'000u) << "no back-pressure window found";
+    if (run_with_engine(scenario, api::Engine::kLockStep,
+                        run_limits(probe, 0))
+            .stopped_in_window) {
+      at = probe;
+    }
+  }
+  SCOPED_TRACE("checkpoint at " + std::to_string(at));
+  api::RunHooks hooks;
+  hooks.configure = [](cfi::SocTop& soc) {
+    soc.host().set_trace_enabled(true);
+  };
+  const auto lock_capture = api::capture_checkpoint(
+      scenario.with_engine(api::Engine::kLockStep), at, hooks);
+  const auto event_capture = api::capture_checkpoint(
+      scenario.with_engine(api::Engine::kEventDriven), at, hooks);
+  ASSERT_EQ(event_capture->cycle, at);
+  EXPECT_EQ(lock_capture->to_blob(), event_capture->to_blob());
+
+  // Fork the event engine's capture on both engines; each warm run (prefix
+  // stream replayed) must match the cold lock-step run.
+  const auto warm = [&](cfi::SocTop& soc, Observed& o) {
+    const std::vector<std::uint64_t>& words = event_capture->log_words;
+    std::array<std::uint64_t, cfi::CommitLog::kBeats> beats{};
+    for (std::size_t word = 0; word + beats.size() <= words.size();
+         word += beats.size()) {
+      std::copy_n(words.begin() + static_cast<std::ptrdiff_t>(word),
+                  beats.size(), beats.begin());
+      o.stream.push_back(cfi::CommitLog::unpack(beats));
+    }
+    soc.restore(*event_capture);
+  };
+  const Observed cold = run_with_engine(scenario, api::Engine::kLockStep);
+  expect_same(cold, run_with_engine(scenario, api::Engine::kEventDriven, warm));
+  expect_same(cold, run_with_engine(scenario, api::Engine::kLockStep, warm));
+}
+
+TEST(BackPressureWindow, WatchdogDeadlineEndsWindowsExactly) {
+  // 2048 only re-rings the dropped doorbell; 300 is below the healthy round
+  // trip, so spurious re-rings land inside ordinary waits too.
+  for (const sim::Cycle timeout : {sim::Cycle{2048}, sim::Cycle{300}}) {
+    SCOPED_TRACE("doorbell timeout " + std::to_string(timeout));
+    const api::Scenario scenario =
+        stall_bound_fib12()
+            .drain_burst(4)
+            .doorbell_retry(timeout, 3)
+            .faults(sim::FaultPlan::parse("doorbell_drop@1+doorbell_drop@9"))
+            .build();
+    const Observed lock = run_with_engine(scenario, api::Engine::kLockStep);
+    const Observed event = run_with_engine(scenario, api::Engine::kEventDriven);
+    EXPECT_GT(lock.result.resilience.doorbell_retries, 0u);
+    expect_same(lock, event);
+  }
+}
+
+TEST(BackPressureWindow, OverflowFaultOrdinalInsideWindowFiresExactly) {
+  // Push attempts outnumber pushes ~20:1 in this run, so these ordinals fall
+  // on stalled cycles in the middle of back-pressure windows.
+  for (const char* plan : {"queue_overflow@5000#3", "queue_overflow@20011#1",
+                           "queue_overflow@777#2+queue_overflow@60013#5"}) {
+    SCOPED_TRACE(plan);
+    const api::Scenario scenario =
+        stall_bound_fib12().faults(sim::FaultPlan::parse(plan)).build();
+    const Observed lock = run_with_engine(scenario, api::Engine::kLockStep);
+    const Observed event = run_with_engine(scenario, api::Engine::kEventDriven);
+    EXPECT_GT(lock.result.resilience.degraded_cycles, 0u);
+    expect_same(lock, event);
   }
 }
 
