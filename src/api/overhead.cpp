@@ -40,13 +40,9 @@ OverheadGrid OverheadGrid::table3() {
 double OverheadGrid::slowdown(std::size_t index,
                               const workloads::TraceParams& params,
                               std::uint32_t check_latency) const {
-  const workloads::BenchmarkStats& stats = *rows_[index];
-  const auto cf = workloads::synthesize_cf_cycles(stats, params);
   cfi::OverheadConfig config = config_;
   config.check_latency = check_latency;
-  return cfi::simulate_cf_cycles(cf, static_cast<sim::Cycle>(stats.cycles),
-                                 config)
-      .slowdown_percent();
+  return workloads::replay(*rows_[index], params, config).slowdown_percent();
 }
 
 sim::SweepDocHeader OverheadGrid::header() const {

@@ -1,7 +1,7 @@
 // Typed trace-driven overhead sweeps (paper Tables II/III).
 //
 // The table benches don't co-simulate the SoC — they replay calibrated
-// synthetic commit traces through cfi::simulate_cf_cycles.  OverheadGrid is
+// synthetic commit traces through workloads::replay.  OverheadGrid is
 // their scenario layer: a named, typed (benchmark rows x queue config x
 // firmware latencies) grid whose deterministic serialization becomes the
 // sweep-report identity, exactly like ScenarioSet does for co-sim grids.

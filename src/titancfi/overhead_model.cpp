@@ -1,69 +1,112 @@
 #include "titancfi/overhead_model.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
+#include <stdexcept>
 
 namespace titan::cfi {
 
-OverheadResult simulate_cf_cycles(std::span<const Cycle> cf_commit_cycles,
-                                  Cycle baseline_total,
-                                  const OverheadConfig& config) {
+double OverheadResult::slowdown_percent() const {
+  if (baseline_cycles == 0) {
+    return 0.0;
+  }
+  return 100.0 *
+         static_cast<double>(cfi_cycles - baseline_cycles) /
+         static_cast<double>(baseline_cycles);
+}
+
+namespace {
+
+std::size_t checked_depth(std::size_t queue_depth) {
+  if (queue_depth == 0) {
+    throw std::invalid_argument("overhead model: queue_depth must be >= 1");
+  }
+  return queue_depth;
+}
+
+}  // namespace
+
+ServiceChain::ServiceChain(const OverheadConfig& config)
+    : pop_times_(checked_depth(config.queue_depth)),
+      service_(std::uint64_t{config.transport_cycles} + config.check_latency),
+      drain_at_end_(config.drain_at_end) {}
+
+void ServiceChain::push(Cycle commit) {
+  Cycle arrival = commit + delay_;
+
+  // Single queue write port: a second CF op in the same (shifted) cycle
+  // slips at least one cycle.
+  if (count_ > 0 && arrival <= prev_arrival_) {
+    arrival = prev_arrival_ + 1;
+  }
+
+  // Queue-full back-pressure: the slot occupied by the log `queue_depth`
+  // positions back must have been popped before we can enqueue.
+  if (count_ >= pop_times_.size()) {
+    arrival = std::max(arrival, pop_times_[slot_]);
+  }
+
+  if (arrival > commit + delay_) {
+    ++stall_events_;
+  }
+  delay_ = arrival - commit;
+
+  last_pop_ = std::max(arrival, server_free_);
+  server_free_ = last_pop_ + service_;
+  pop_times_[slot_] = last_pop_;
+  if (++slot_ == pop_times_.size()) {
+    slot_ = 0;
+  }
+
+  prev_arrival_ = arrival;
+  ++count_;
+}
+
+Cycle ServiceChain::delay_floor(std::uint64_t remaining,
+                                Cycle last_commit) const {
+  const std::size_t depth = pop_times_.size();
+  if (count_ == 0 || remaining <= depth) {
+    return delay_;
+  }
+  const Cycle enqueue = last_pop_ + (remaining - depth) * service_;
+  return std::max(delay_, enqueue > last_commit ? enqueue - last_commit : 0);
+}
+
+OverheadResult ServiceChain::finish(Cycle baseline_total) const {
   OverheadResult result;
   result.baseline_cycles = baseline_total;
-  result.cf_count = cf_commit_cycles.size();
-
-  const std::uint64_t service =
-      config.transport_cycles + config.check_latency;
-
-  Cycle delay = 0;          // Accumulated commit-stage shift.
-  Cycle server_free = 0;    // When the log-writer/RoT chain goes idle.
-  Cycle prev_arrival = 0;
-  bool have_prev = false;
-  // Pop (service-start) times of the last `queue_depth` logs.
-  std::deque<Cycle> pop_times;
-
-  for (std::size_t i = 0; i < cf_commit_cycles.size(); ++i) {
-    const Cycle c = cf_commit_cycles[i];
-    Cycle arrival = c + delay;
-
-    // Single queue write port: a second CF op in the same (shifted) cycle
-    // slips at least one cycle.
-    if (have_prev && arrival <= prev_arrival) {
-      arrival = prev_arrival + 1;
-    }
-
-    // Queue-full back-pressure: the slot occupied by the log `queue_depth`
-    // positions back must have been popped before we can enqueue.
-    if (pop_times.size() == config.queue_depth) {
-      arrival = std::max(arrival, pop_times.front());
-      pop_times.pop_front();
-    }
-
-    if (arrival > c + delay) {
-      ++result.stall_events;
-    }
-    delay = arrival - c;
-
-    const Cycle pop_at = std::max(arrival, server_free);
-    server_free = pop_at + service;
-    pop_times.push_back(pop_at);
-
-    // Occupancy right after this push: logs not yet popped at `arrival`.
-    const auto waiting = static_cast<std::size_t>(
-        std::count_if(pop_times.begin(), pop_times.end(),
-                      [&](Cycle pop) { return pop > arrival; }));
-    result.max_queue_occupancy = std::max(result.max_queue_occupancy, waiting);
-
-    prev_arrival = arrival;
-    have_prev = true;
-  }
-
-  result.stall_cycles = delay;
-  result.cfi_cycles = baseline_total + delay;
-  if (config.drain_at_end) {
-    result.cfi_cycles = std::max(result.cfi_cycles, server_free);
+  result.cf_count = count_;
+  result.stall_events = stall_events_;
+  result.stall_cycles = delay_;
+  result.cfi_cycles = baseline_total + delay_;
+  if (drain_at_end_) {
+    result.cfi_cycles = std::max(result.cfi_cycles, server_free_);
   }
   return result;
+}
+
+Cycle exceeding_delay(Cycle baseline_total, double target) {
+  // slowdown_percent() is monotone in the delay, so bisect on that very
+  // expression.
+  const auto exceeds = [&](Cycle delay) {
+    OverheadResult result;
+    result.baseline_cycles = baseline_total;
+    result.cfi_cycles = baseline_total + delay;
+    return result.slowdown_percent() > target;
+  };
+  if (exceeds(0)) {
+    return 0;
+  }
+  Cycle lo = 0;               // Does not exceed.
+  Cycle hi = Cycle{1} << 62;  // Exceeds, once checked.
+  if (!exceeds(hi)) {
+    return std::numeric_limits<Cycle>::max();
+  }
+  while (hi - lo > 1) {
+    const Cycle mid = lo + (hi - lo) / 2;
+    (exceeds(mid) ? hi : lo) = mid;
+  }
+  return hi;
 }
 
 OverheadResult simulate_trace(const std::vector<cva6::CommitRecord>& trace,

@@ -19,6 +19,9 @@
 //
 // Every commit stall shifts the whole downstream trace, which is exactly
 // what inhibiting the commit stage does to an in-order core.
+//
+// ServiceChain is the replay itself, one log at a time, so a caller can feed
+// a trace it never materialises and stop once the answer is decided.
 #pragma once
 
 #include <cstdint>
@@ -52,24 +55,61 @@ struct OverheadResult {
   std::uint64_t cf_count = 0;
   std::uint64_t stall_events = 0;    ///< CF commits that had to wait.
   Cycle stall_cycles = 0;            ///< Total commit-shift introduced.
-  std::size_t max_queue_occupancy = 0;
 
   /// Percent slowdown relative to the baseline run.
-  [[nodiscard]] double slowdown_percent() const {
-    if (baseline_cycles == 0) {
-      return 0.0;
-    }
-    return 100.0 *
-           static_cast<double>(cfi_cycles - baseline_cycles) /
-           static_cast<double>(baseline_cycles);
-  }
+  [[nodiscard]] double slowdown_percent() const;
 };
+
+/// Incremental replay of CF commit cycles (ascending, duplicates allowed —
+/// dual commit) against the CFI service chain.  The pop times of the last
+/// `queue_depth` logs live in a fixed ring.
+class ServiceChain {
+ public:
+  /// Throws std::invalid_argument when `config.queue_depth` is 0.
+  explicit ServiceChain(const OverheadConfig& config);
+
+  void push(Cycle commit);
+
+  /// Commit-stage shift accumulated so far; never shrinks.
+  [[nodiscard]] Cycle delay() const { return delay_; }
+
+  /// Lower bound on the final delay() when `remaining` more logs follow and
+  /// none of them commits after `last_commit`.  Pops are sequential, and
+  /// the last log cannot enqueue before the log `queue_depth` places ahead
+  /// of it pops, which is at least (remaining - depth) services from now.
+  [[nodiscard]] Cycle delay_floor(std::uint64_t remaining,
+                                  Cycle last_commit) const;
+
+  [[nodiscard]] OverheadResult finish(Cycle baseline_total) const;
+
+ private:
+  std::vector<Cycle> pop_times_;  // Ring; pop_times_[slot_] is the oldest.
+  std::size_t slot_ = 0;
+  std::uint64_t service_;
+  bool drain_at_end_;
+  std::uint64_t count_ = 0;
+  std::uint64_t stall_events_ = 0;
+  Cycle delay_ = 0;        // Accumulated commit-stage shift.
+  Cycle server_free_ = 0;  // When the log-writer/RoT chain goes idle.
+  Cycle last_pop_ = 0;
+  Cycle prev_arrival_ = 0;
+};
+
+/// Smallest commit-stage shift whose slowdown_percent() over
+/// `baseline_total` exceeds `target`; the maximum Cycle when none does.
+[[nodiscard]] Cycle exceeding_delay(Cycle baseline_total, double target);
 
 /// Replay a list of CF commit cycles (sorted, duplicates allowed — dual
 /// commit) against the CFI service chain.
-[[nodiscard]] OverheadResult simulate_cf_cycles(
+[[nodiscard]] inline OverheadResult simulate_cf_cycles(
     std::span<const Cycle> cf_commit_cycles, Cycle baseline_total,
-    const OverheadConfig& config);
+    const OverheadConfig& config) {
+  ServiceChain chain(config);
+  for (const Cycle commit : cf_commit_cycles) {
+    chain.push(commit);
+  }
+  return chain.finish(baseline_total);
+}
 
 /// Convenience: extract the CFI-relevant commits from a full trace.
 [[nodiscard]] OverheadResult simulate_trace(

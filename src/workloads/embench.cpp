@@ -62,50 +62,187 @@ const BenchmarkStats* find_benchmark(std::string_view name) {
   return nullptr;
 }
 
-std::vector<sim::Cycle> synthesize_cf_cycles(const BenchmarkStats& stats,
-                                             const TraceParams& params,
-                                             std::uint64_t seed) {
-  (void)seed;  // Placement is deterministic; seed reserved for jitter studies.
-  const auto total = static_cast<std::uint64_t>(stats.cycles);
-  const auto cf_count = static_cast<std::uint64_t>(stats.cf_count);
-  std::vector<sim::Cycle> cycles;
-  cycles.reserve(cf_count);
-  if (cf_count == 0 || total == 0) {
-    return cycles;
-  }
+namespace {
 
-  const unsigned cluster = std::max(1u, params.cluster);
-  const std::uint64_t clusters = (cf_count + cluster - 1) / cluster;
-  const double window =
-      std::max(1.0, params.window_fraction * stats.cycles);
-  const double spacing = window / static_cast<double>(clusters);
-  // Centre the active window in the run.
-  const double offset = (stats.cycles - window) / 2.0;
-
-  for (std::uint64_t c = 0; c < clusters && cycles.size() < cf_count; ++c) {
-    const double base = offset + spacing * static_cast<double>(c);
-    for (unsigned j = 0; j < cluster && cycles.size() < cf_count; ++j) {
-      const double at = base + static_cast<double>(j) * params.intra_gap;
-      cycles.push_back(static_cast<sim::Cycle>(std::min(
-          std::max(at, 0.0), stats.cycles - 1.0)));
+// The commit cycles of synthesize_cf_cycles in ascending order, produced
+// without building or sorting them.  Burst c holds value(c, j) for
+// j < burst_size(c); each burst ascends in j, and bursts open in ascending
+// order of value(c, 0), so a min-heap over the heads of the open bursts
+// merges them.  Each step emits the earliest burst's run up to the next
+// competing head: another open burst, or the first unopened one.
+class CfStream {
+ public:
+  CfStream(const BenchmarkStats& stats, const TraceParams& params) {
+    const auto total = static_cast<std::uint64_t>(stats.cycles);
+    const auto cf_count = static_cast<std::uint64_t>(stats.cf_count);
+    if (cf_count == 0 || total == 0) {
+      return;
+    }
+    size_ = cf_count;
+    cluster_ = std::max(1u, params.cluster);
+    bursts_ = (cf_count + cluster_ - 1) / cluster_;
+    const double window =
+        std::max(1.0, params.window_fraction * stats.cycles);
+    spacing_ = window / static_cast<double>(bursts_);
+    // Centre the active window in the run.
+    offset_ = (stats.cycles - window) / 2.0;
+    intra_gap_ = params.intra_gap;
+    run_end_ = stats.cycles - 1.0;
+    // value() ascends in both arguments, so the largest cycle ends either
+    // the last burst or the last full one.
+    last_ = value(bursts_ - 1, burst_size(bursts_ - 1) - 1);
+    if (bursts_ > 1) {
+      last_ = std::max(last_, value(bursts_ - 2, cluster_ - 1));
     }
   }
-  std::sort(cycles.begin(), cycles.end());
+
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+  /// The largest cycle (0 when empty).
+  [[nodiscard]] sim::Cycle last() const { return last_; }
+
+  /// Calls emit(cycle) for every cycle in order while emit returns true.
+  template <typename Emit>
+  void run(Emit emit) const {
+    std::vector<Head> open;
+    const auto later = [](const Head& a, const Head& b) {
+      return a.value > b.value;
+    };
+    std::uint64_t next = 0;
+    sim::Cycle next_value = size_ > 0 ? value(0, 0) : 0;
+    for (;;) {
+      if (next < bursts_ && (open.empty() || next_value < open.front().value)) {
+        open.push_back({next_value, next, 0});
+        std::push_heap(open.begin(), open.end(), later);
+        if (++next < bursts_) {
+          next_value = value(next, 0);
+        }
+        continue;
+      }
+      if (open.empty()) {
+        return;
+      }
+      std::pop_heap(open.begin(), open.end(), later);
+      Head head = open.back();
+      open.pop_back();
+      sim::Cycle bound = open.empty() ? ~sim::Cycle{0} : open.front().value;
+      if (next < bursts_) {
+        bound = std::min(bound, next_value);
+      }
+      const unsigned size = burst_size(head.burst);
+      do {
+        if (!emit(head.value)) {
+          return;
+        }
+        if (++head.index == size) {
+          break;
+        }
+        head.value = value(head.burst, head.index);
+      } while (head.value <= bound);
+      if (head.index < size) {
+        open.push_back(head);
+        std::push_heap(open.begin(), open.end(), later);
+      }
+    }
+  }
+
+ private:
+  struct Head {
+    sim::Cycle value;
+    std::uint64_t burst;
+    unsigned index;
+  };
+
+  [[nodiscard]] sim::Cycle value(std::uint64_t burst, unsigned index) const {
+    const double base = offset_ + spacing_ * static_cast<double>(burst);
+    const double at = base + static_cast<double>(index) * intra_gap_;
+    return static_cast<sim::Cycle>(std::min(std::max(at, 0.0), run_end_));
+  }
+
+  [[nodiscard]] unsigned burst_size(std::uint64_t burst) const {
+    return static_cast<unsigned>(
+        std::min<std::uint64_t>(cluster_, size_ - burst * cluster_));
+  }
+
+  std::uint64_t size_ = 0;
+  unsigned cluster_ = 1;
+  std::uint64_t bursts_ = 0;
+  double spacing_ = 0;
+  double offset_ = 0;
+  unsigned intra_gap_ = 0;
+  double run_end_ = 0;
+  sim::Cycle last_ = 0;
+};
+
+}  // namespace
+
+std::vector<sim::Cycle> synthesize_cf_cycles(const BenchmarkStats& stats,
+                                             const TraceParams& params) {
+  const CfStream stream(stats, params);
+  std::vector<sim::Cycle> cycles;
+  cycles.reserve(stream.size());
+  stream.run([&](sim::Cycle commit) {
+    cycles.push_back(commit);
+    return true;
+  });
   return cycles;
 }
 
 namespace {
 
-double predict_slowdown(const BenchmarkStats& stats, const TraceParams& params,
-                        std::uint32_t latency, std::size_t queue_depth) {
-  const auto cf = synthesize_cf_cycles(stats, params);
+// Replays the trace through the service chain and stops once the final
+// delay is certain to reach `limit`; `reached` tells whether it stopped.
+cfi::OverheadResult replay_until(const BenchmarkStats& stats,
+                                 const TraceParams& params,
+                                 const cfi::OverheadConfig& config,
+                                 sim::Cycle limit, bool& reached) {
+  const CfStream stream(stats, params);
+  cfi::ServiceChain chain(config);
+  std::uint64_t remaining = stream.size();
+  reached = false;
+  stream.run([&](sim::Cycle commit) {
+    chain.push(commit);
+    reached = chain.delay_floor(--remaining, stream.last()) >= limit;
+    return !reached;
+  });
+  return chain.finish(static_cast<sim::Cycle>(stats.cycles));
+}
+
+}  // namespace
+
+cfi::OverheadResult replay(const BenchmarkStats& stats,
+                           const TraceParams& params,
+                           const cfi::OverheadConfig& config) {
+  bool reached = false;
+  return replay_until(stats, params, config, ~sim::Cycle{0}, reached);
+}
+
+bool exceeds(const BenchmarkStats& stats, const TraceParams& params,
+             const cfi::OverheadConfig& config, double target) {
+  // The replay exceeds the target exactly when its final delay reaches
+  // exceeding_delay().
+  const sim::Cycle limit =
+      cfi::exceeding_delay(static_cast<sim::Cycle>(stats.cycles), target);
+  bool reached = false;
+  const cfi::OverheadResult result =
+      replay_until(stats, params, config, limit, reached);
+  return reached || result.slowdown_percent() > target;
+}
+
+namespace {
+
+cfi::OverheadConfig model_config(std::uint32_t latency,
+                                 std::size_t queue_depth) {
   cfi::OverheadConfig config;
   config.queue_depth = queue_depth;
   config.check_latency = latency;
   config.transport_cycles = 0;
-  const auto result = cfi::simulate_cf_cycles(
-      cf, static_cast<sim::Cycle>(stats.cycles), config);
-  return result.slowdown_percent();
+  return config;
+}
+
+double predict_slowdown(const BenchmarkStats& stats, const TraceParams& params,
+                        std::uint32_t latency, std::size_t queue_depth) {
+  return replay(stats, params, model_config(latency, queue_depth))
+      .slowdown_percent();
 }
 
 /// Bisect the window fraction so the depth-8 IRQ prediction matches the
@@ -115,12 +252,13 @@ void fit_phi(const BenchmarkStats& stats, TraceParams& params) {
     params.window_fraction = 1.0;
     return;
   }
+  const cfi::OverheadConfig config = model_config(kIrqLatency, 8);
   double lo = 1e-4;
   double hi = 1.0;
   for (int iter = 0; iter < 48; ++iter) {
     const double mid = 0.5 * (lo + hi);
     params.window_fraction = mid;
-    if (predict_slowdown(stats, params, kIrqLatency, 8) > stats.paper_irq) {
+    if (exceeds(stats, params, config, stats.paper_irq)) {
       lo = mid;
     } else {
       hi = mid;
@@ -144,8 +282,10 @@ TraceParams calibrate(const BenchmarkStats& stats) {
   const bool have_t2 = stats.in_table2() && stats.paper2_irq > 0;
   const bool have_poll = stats.paper_poll > 0;
   if (have_t2 || have_poll) {
+    // fit_phi ignores the incoming window fraction, so the opening fit is
+    // the grid's k=2 fit and the best trial needs no re-fit.
+    const TraceParams opening = params;
     double best_error = 1e18;
-    unsigned best_cluster = params.cluster;
     // Bursts longer than the 8-entry CFI Queue are what make the Polling /
     // Optimized firmware visible at depth 8, so the grid extends well past
     // the queue depth (deep call ladders are common in real traces).
@@ -156,9 +296,11 @@ TraceParams calibrate(const BenchmarkStats& stats) {
       if (stats.paper_irq <= 0 && k > 8) {
         continue;
       }
-      TraceParams trial = params;
+      TraceParams trial = opening;
       trial.cluster = k;
-      fit_phi(stats, trial);  // keep the IRQ column matched for every k
+      if (k != opening.cluster) {
+        fit_phi(stats, trial);  // keep the IRQ column matched for every k
+      }
       const double predicted =
           have_t2 ? predict_slowdown(stats, trial, kIrqLatency, 1)
                   : predict_slowdown(stats, trial, kPollingLatency, 8);
@@ -166,11 +308,9 @@ TraceParams calibrate(const BenchmarkStats& stats) {
       const double error = std::abs(predicted - target);
       if (error < best_error) {
         best_error = error;
-        best_cluster = k;
+        params = trial;
       }
     }
-    params.cluster = best_cluster;
-    fit_phi(stats, params);
   }
   return params;
 }

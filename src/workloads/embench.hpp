@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "titancfi/overhead_model.hpp"
 
 namespace titan::workloads {
 
@@ -53,10 +54,22 @@ struct TraceParams {
   unsigned intra_gap = 8;        ///< Cycles between CF ops inside a burst.
 };
 
-/// Generate the commit cycles of the CF instructions for a benchmark.
+/// Generate the commit cycles of the CF instructions for a benchmark, in
+/// ascending order.
 [[nodiscard]] std::vector<sim::Cycle> synthesize_cf_cycles(
-    const BenchmarkStats& stats, const TraceParams& params,
-    std::uint64_t seed = 1);
+    const BenchmarkStats& stats, const TraceParams& params);
+
+/// cfi::simulate_cf_cycles over synthesize_cf_cycles(stats, params) with
+/// baseline stats.cycles, streaming the trace instead of building it.
+[[nodiscard]] cfi::OverheadResult replay(const BenchmarkStats& stats,
+                                         const TraceParams& params,
+                                         const cfi::OverheadConfig& config);
+
+/// replay(stats, params, config).slowdown_percent() > target, decided as soon
+/// as the logs replayed so far force the answer.
+[[nodiscard]] bool exceeds(const BenchmarkStats& stats,
+                           const TraceParams& params,
+                           const cfi::OverheadConfig& config, double target);
 
 /// Fit (phi, cluster) against the published IRQ columns.  Deterministic.
 [[nodiscard]] TraceParams calibrate(const BenchmarkStats& stats);

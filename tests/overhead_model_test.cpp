@@ -1,12 +1,19 @@
 // Trace-driven overhead model tests: closed-form checks in the saturated
 // regime (where the paper's own Table III numbers pin the answer), stall-free
-// regimes, and monotonicity properties in latency and queue depth.
+// regimes, monotonicity properties in latency and queue depth, and the
+// incremental ServiceChain against a reference std::deque replay.
 #include "titancfi/overhead_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "workloads/embench.hpp"
 
 namespace titan::cfi {
@@ -181,6 +188,139 @@ TEST(OverheadModel, StallShiftsDownstreamUniformly) {
       std::vector<Cycle>(cfs.begin(), cfs.end() - 1), 60'000,
       config_for(267, 1));
   EXPECT_EQ(result.stall_cycles, phase1.stall_cycles);
+}
+
+TEST(OverheadModel, RejectsZeroQueueDepth) {
+  const std::vector<Cycle> cfs = {10, 20};
+  EXPECT_THROW((void)simulate_cf_cycles(cfs, 1000, config_for(267, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(ServiceChain{config_for(267, 0)}, std::invalid_argument);
+}
+
+// The replay as it was first written: a std::deque of the last
+// `queue_depth` pop times.
+OverheadResult deque_replay(const std::vector<Cycle>& cfs, Cycle baseline,
+                            const OverheadConfig& config) {
+  OverheadResult result;
+  result.baseline_cycles = baseline;
+  result.cf_count = cfs.size();
+  const std::uint64_t service = config.transport_cycles + config.check_latency;
+  Cycle delay = 0;
+  Cycle server_free = 0;
+  Cycle prev_arrival = 0;
+  std::deque<Cycle> pop_times;
+  for (std::size_t i = 0; i < cfs.size(); ++i) {
+    Cycle arrival = cfs[i] + delay;
+    if (i > 0 && arrival <= prev_arrival) {
+      arrival = prev_arrival + 1;
+    }
+    if (pop_times.size() == config.queue_depth) {
+      arrival = std::max(arrival, pop_times.front());
+      pop_times.pop_front();
+    }
+    if (arrival > cfs[i] + delay) {
+      ++result.stall_events;
+    }
+    delay = arrival - cfs[i];
+    const Cycle pop_at = std::max(arrival, server_free);
+    server_free = pop_at + service;
+    pop_times.push_back(pop_at);
+    prev_arrival = arrival;
+  }
+  result.stall_cycles = delay;
+  result.cfi_cycles = baseline + delay;
+  if (config.drain_at_end) {
+    result.cfi_cycles = std::max(result.cfi_cycles, server_free);
+  }
+  return result;
+}
+
+// Sorted commit cycles mixing dual commits, tight bursts and quiet gaps.
+std::vector<Cycle> random_trace(sim::Rng& rng, std::size_t count) {
+  std::vector<Cycle> cfs(count);
+  Cycle at = rng.uniform(0, 50);
+  for (Cycle& cycle : cfs) {
+    const std::uint64_t kind = rng.uniform(0, 9);
+    at += kind == 0 ? 0 : kind < 7 ? rng.uniform(1, 12) : rng.uniform(50, 900);
+    cycle = at;
+  }
+  return cfs;
+}
+
+TEST(ServiceChain, MatchesDequeReplayOnRandomTraces) {
+  sim::Rng rng(0x5eed);
+  for (std::size_t depth = 1; depth <= 64; ++depth) {
+    for (const std::uint32_t transport : {0u, 7u}) {
+      for (const bool drain : {false, true}) {
+        OverheadConfig config = config_for(
+            static_cast<std::uint32_t>(rng.uniform(1, 300)), depth);
+        config.transport_cycles = transport;
+        config.drain_at_end = drain;
+        const auto cfs = random_trace(rng, rng.uniform(0, 600));
+        const Cycle baseline = (cfs.empty() ? 0 : cfs.back()) + 100;
+        const OverheadResult want = deque_replay(cfs, baseline, config);
+        const OverheadResult got = simulate_cf_cycles(cfs, baseline, config);
+        SCOPED_TRACE(::testing::Message()
+                     << "depth=" << depth << " transport=" << transport
+                     << " drain=" << drain << " n=" << cfs.size());
+        EXPECT_EQ(got.baseline_cycles, want.baseline_cycles);
+        EXPECT_EQ(got.cfi_cycles, want.cfi_cycles);
+        EXPECT_EQ(got.cf_count, want.cf_count);
+        EXPECT_EQ(got.stall_events, want.stall_events);
+        EXPECT_EQ(got.stall_cycles, want.stall_cycles);
+      }
+    }
+  }
+}
+
+TEST(ServiceChain, DelayFloorBoundsTheFinalDelay) {
+  sim::Rng rng(0xf100);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto depth = static_cast<std::size_t>(rng.uniform(1, 16));
+    OverheadConfig config =
+        config_for(static_cast<std::uint32_t>(rng.uniform(1, 300)), depth);
+    config.transport_cycles = static_cast<std::uint32_t>(rng.uniform(0, 7));
+    const auto cfs = random_trace(rng, rng.uniform(1, 400));
+    const Cycle final_delay =
+        simulate_cf_cycles(cfs, cfs.back() + 1, config).stall_cycles;
+    ServiceChain chain(config);
+    Cycle previous = 0;
+    for (std::size_t i = 0; i < cfs.size(); ++i) {
+      chain.push(cfs[i]);
+      ASSERT_GE(chain.delay(), previous);
+      previous = chain.delay();
+      ASSERT_LE(chain.delay_floor(cfs.size() - i - 1, cfs.back()), final_delay)
+          << "trial=" << trial << " log=" << i;
+    }
+    EXPECT_EQ(chain.delay_floor(0, cfs.back()), final_delay);
+  }
+}
+
+TEST(ServiceChain, ExceedingDelayIsTheSmallestDelayPastTheTarget) {
+  const auto slowdown = [](Cycle baseline, Cycle delay) {
+    OverheadResult result;
+    result.baseline_cycles = baseline;
+    result.cfi_cycles = baseline + delay;
+    return result.slowdown_percent();
+  };
+  for (const Cycle baseline : {Cycle{1}, Cycle{3}, Cycle{20'100},
+                               Cycle{1'410'000}, Cycle{5'240'000}}) {
+    for (const double target : {-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 43.0, 390.0,
+                                1215.0, 4311.0, 1e6}) {
+      const Cycle limit = exceeding_delay(baseline, target);
+      EXPECT_GT(slowdown(baseline, limit), target)
+          << baseline << " " << target;
+      if (limit > 0) {
+        EXPECT_LE(slowdown(baseline, limit - 1), target)
+            << baseline << " " << target;
+      }
+    }
+  }
+  constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+  EXPECT_EQ(exceeding_delay(0, 0.0), kNever);  // slowdown_percent() is 0.
+  EXPECT_EQ(exceeding_delay(0, -1.0), 0u);
+  EXPECT_EQ(exceeding_delay(1000, std::nan("")), kNever);
+  EXPECT_EQ(exceeding_delay(1000, HUGE_VAL), kNever);
 }
 
 }  // namespace
