@@ -80,33 +80,6 @@ void CheckpointCache::insert(std::shared_ptr<const sim::Snapshot> snapshot) {
   by_identity_[std::move(key)] = std::move(snapshot);
 }
 
-void save_checkpoint_file(const sim::Snapshot& snapshot,
-                          const std::string& path) {
-  const std::vector<std::uint8_t> blob = snapshot.to_blob();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("save_checkpoint_file: cannot open " + path);
-  }
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  if (!out) {
-    throw std::runtime_error("save_checkpoint_file: short write to " + path);
-  }
-}
-
-sim::Snapshot load_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("load_checkpoint_file: cannot open " + path);
-  }
-  std::vector<std::uint8_t> blob((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("load_checkpoint_file: read error on " + path);
-  }
-  return sim::Snapshot::from_blob(blob);
-}
-
 // ---- Grid (sweep) support ---------------------------------------------------
 
 std::vector<std::shared_ptr<const sim::Snapshot>> capture_grid_checkpoints(

@@ -11,7 +11,7 @@
 // identity string run_scenario() validates on warm start — so a sweep over
 // a mixed grid builds exactly one prefix run per distinct scenario.
 //
-// The file helpers carry a checkpoint across process boundaries (a bench's
+// The bundle helpers carry checkpoints across process boundaries (a bench's
 // --write_checkpoints run writes the bundle that a later --warm_start run,
 // or titand, loads) in the versioned, fingerprinted blob format; loading a
 // truncated, foreign, or version-skewed file throws sim::SnapshotError.
@@ -43,7 +43,7 @@ inline constexpr sim::Cycle kDefaultWarmupCycle = 2000;
 /// of popped commit logs, which run_scenario() replays on warm start so a
 /// forked run's observed log stream matches a cold run's.  `hooks.configure`
 /// is applied to the prefix SoC — pass the same hooks the forked runs will
-/// use so configuration-dependent state (e.g. trace-ring geometry) matches.
+/// use so configuration-dependent state (e.g. trace storage) matches.
 [[nodiscard]] std::shared_ptr<const sim::Snapshot> capture_checkpoint(
     const Scenario& scenario, sim::Cycle at, const RunHooks& hooks = {});
 
@@ -83,15 +83,6 @@ class CheckpointCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };
-
-/// Write `snapshot` to `path` in the versioned blob format (see
-/// sim::Snapshot::to_blob).  Throws std::runtime_error on I/O failure.
-void save_checkpoint_file(const sim::Snapshot& snapshot,
-                          const std::string& path);
-
-/// Load and fully validate a checkpoint file.  Throws std::runtime_error on
-/// I/O failure and sim::SnapshotError on a malformed or corrupted blob.
-[[nodiscard]] sim::Snapshot load_checkpoint_file(const std::string& path);
 
 // ---- Grid (sweep) support ---------------------------------------------------
 

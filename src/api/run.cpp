@@ -2,15 +2,7 @@
 
 #include <array>
 
-#include "api/report_schema.hpp"
-
 namespace titan::api {
-
-void RunReport::emit_json_fields(sim::JsonWriter& json) const {
-  // The field set/order lives in the versioned ReportSchema; this method
-  // survives as the schema's default-options shorthand.
-  ReportSchema().emit_fields(json, *this);
-}
 
 RunReport run_scenario(const Scenario& scenario, const RunHooks& hooks,
                        const RunControl& control) {
@@ -38,8 +30,8 @@ RunReport run_scenario(const Scenario& scenario, const RunHooks& hooks,
           snapshot->scenario + " vs " + scenario.serialize() + ")");
     }
     // Restore AFTER hooks.configure: capture_checkpoint applied the same
-    // hooks before its prefix run, and the checkpointed state (e.g. the
-    // trace-ring geometry) must win over a fresh configure.
+    // hooks before its prefix run, and the checkpointed state (e.g. whether
+    // the commit trace is on) must win over a fresh configure.
     soc->restore(*snapshot);
     // Replay the prefix's popped log stream so a warm observer sees the
     // identical sequence a cold run's observer would.

@@ -2,8 +2,8 @@
 // RunReport — a superset of cfi::SocRunResult plus the memory-system,
 // decode-cache, and doorbell statistics the perf PRs added.  Every bench and
 // example reads its numbers from a RunReport, and every machine-readable row
-// is emitted through RunReport::emit_json_fields(), so the JSON schema of a
-// co-simulation row has exactly one definition.
+// is emitted through api::ReportSchema (api/report_schema.hpp), so the JSON
+// schema of a co-simulation row has exactly one definition.
 #pragma once
 
 #include <functional>
@@ -13,7 +13,6 @@
 #include "api/scenario.hpp"
 #include "sim/cancel.hpp"
 #include "sim/memory.hpp"
-#include "sim/sweep.hpp"
 #include "titancfi/commit_log.hpp"
 
 namespace titan::api {
@@ -87,18 +86,14 @@ struct RunReport {
                         : static_cast<double>(doorbells) /
                               static_cast<double>(cf_logs);
   }
-
-  /// Canonical machine-readable form: every JSON row of every co-sim sweep
-  /// flows through here (deterministic field set and order).
-  void emit_json_fields(sim::JsonWriter& json) const;
 };
 
 /// Optional instrumentation hooks for a scenario run.
 struct RunHooks {
   /// Observe every commit log the Log Writer sends (stream-identity checks).
   std::function<void(const cfi::CommitLog&)> log_capture;
-  /// Called on the constructed SoC before the run (extra knobs, e.g. trace
-  /// ring capacity or a streaming trace writer).
+  /// Called on the constructed SoC before the run (extra knobs, e.g. turning
+  /// on the commit trace).
   std::function<void(cfi::SocTop&)> configure;
 };
 

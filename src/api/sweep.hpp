@@ -73,8 +73,8 @@ template <typename Row>
 }
 
 /// The canonical co-simulation sweep: one RunReport per scenario, emitted
-/// through RunReport::emit_json_fields (all co-sim JSON rows share one
-/// schema).  The set is captured by value, so the plan is self-contained.
+/// through api::ReportSchema (all co-sim JSON rows share one schema).  The
+/// set is captured by value, so the plan is self-contained.
 [[nodiscard]] SweepPlan<RunReport> scenario_sweep_plan(ScenarioSet set);
 
 }  // namespace titan::api

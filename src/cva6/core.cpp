@@ -285,7 +285,7 @@ void Cva6Core::retire(unsigned count) {
   }
   for (unsigned i = 0; i < count; ++i) {
     const RobEntry& front = rob_at(0);
-    if (trace_enabled_ || trace_sink_) {
+    if (trace_enabled_) [[unlikely]] {
       record_commit(front.entry);
     }
     if (rv::cfi_relevant(front.entry.kind)) {
@@ -296,56 +296,12 @@ void Cva6Core::retire(unsigned count) {
 }
 
 void Cva6Core::record_commit(const ScoreboardEntry& entry) {
-  CommitRecord record;
-  record.cycle = cycle_;
-  record.pc = entry.pc;
-  record.encoding = entry.inst.expanded;
-  record.kind = entry.kind;
-  record.next_pc = entry.next_pc;
-  record.target = entry.target;
-  if (trace_sink_) {
-    trace_sink_(record);
-  }
-  if (!trace_enabled_) {
-    return;
-  }
-  if (trace_ring_capacity_ == 0) {
-    trace_.push_back(record);
-    return;
-  }
-  if (trace_.size() < trace_ring_capacity_) {
-    trace_.push_back(record);
-    return;
-  }
-  // Ring full: overwrite the oldest record in place, bounded memory.
-  trace_[trace_ring_head_] = record;
-  trace_ring_head_ = (trace_ring_head_ + 1) % trace_ring_capacity_;
-  ++trace_dropped_;
-}
-
-void Cva6Core::set_trace_ring_capacity(std::size_t capacity) {
-  trace_ring_capacity_ = capacity;
-  trace_ring_head_ = 0;
-  trace_dropped_ = 0;
-  trace_.clear();
-  if (capacity != 0) {
-    trace_.reserve(capacity);
-  }
-}
-
-std::vector<CommitRecord> Cva6Core::ordered_trace() const {
-  std::vector<CommitRecord> ordered;
-  ordered.reserve(trace_.size());
-  if (trace_ring_capacity_ == 0 || trace_.size() < trace_ring_capacity_) {
-    ordered = trace_;
-    return ordered;
-  }
-  // The ring wrapped: oldest record sits at the head cursor.
-  ordered.insert(ordered.end(), trace_.begin() + static_cast<std::ptrdiff_t>(trace_ring_head_),
-                 trace_.end());
-  ordered.insert(ordered.end(), trace_.begin(),
-                 trace_.begin() + static_cast<std::ptrdiff_t>(trace_ring_head_));
-  return ordered;
+  trace_.push_back({.cycle = cycle_,
+                    .pc = entry.pc,
+                    .encoding = entry.inst.expanded,
+                    .kind = entry.kind,
+                    .next_pc = entry.next_pc,
+                    .target = entry.target});
 }
 
 void Cva6Core::tick() {
@@ -371,7 +327,7 @@ Cva6Core::FastForwardResult Cva6Core::run_until_event(Cycle limit) {
     unsigned retired = 0;
     while (retired < config_.commit_width && rob_size_ != 0 &&
            rob_at(0).ready <= cycle_) {
-      if (trace_enabled_ || trace_sink_) [[unlikely]] {
+      if (trace_enabled_) [[unlikely]] {
         record_commit(rob_at(0).entry);
       }
       rob_pop_front();
@@ -502,9 +458,6 @@ void Cva6Core::save_state(sim::SnapshotWriter& writer) const {
   }
   writer.u64(stall_cycles_);
   writer.boolean(trace_enabled_);
-  writer.u64(trace_ring_capacity_);
-  writer.u64(trace_ring_head_);
-  writer.u64(trace_dropped_);
   writer.u64(trace_.size());
   for (const CommitRecord& record : trace_) {
     save_record(writer, record);
@@ -544,13 +497,7 @@ void Cva6Core::load_state(sim::SnapshotReader& reader) {
   candidates_.clear();
   stall_cycles_ = reader.u64();
   trace_enabled_ = reader.boolean();
-  trace_ring_capacity_ = static_cast<std::size_t>(reader.u64());
-  trace_ring_head_ = static_cast<std::size_t>(reader.u64());
-  trace_dropped_ = reader.u64();
   trace_.clear();
-  if (trace_ring_capacity_ != 0) {
-    trace_.reserve(trace_ring_capacity_);
-  }
   const std::uint64_t trace_count = reader.u64();
   for (std::uint64_t i = 0; i < trace_count; ++i) {
     trace_.push_back(load_record(reader));

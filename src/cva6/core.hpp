@@ -13,7 +13,6 @@
 //     paper's "inhibit the commit stage" stall mechanism (Sec. IV-B2).
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -133,39 +132,10 @@ class Cva6Core {
   }
   [[nodiscard]] std::uint64_t pc() const { return pc_; }
 
-  /// Cycle-stamped trace of every retired instruction.  In ring mode the
-  /// underlying storage is a circular buffer — use ordered_trace() for the
-  /// records in retirement order once the capacity may have been exceeded.
+  /// Cycle-stamped trace of every retired instruction, in retirement order.
   [[nodiscard]] const std::vector<CommitRecord>& trace() const { return trace_; }
   /// Discard the trace (long co-sim runs that only need statistics).
   void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
-
-  /// Bound trace memory: keep only the last `capacity` retired records in a
-  /// ring buffer (0 restores the default unbounded vector).  Long sweep
-  /// workloads retire hundreds of millions of instructions; an unbounded
-  /// `std::vector<CommitRecord>` append per retirement does not survive that.
-  void set_trace_ring_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t trace_ring_capacity() const { return trace_ring_capacity_; }
-  /// Records discarded because the ring wrapped.
-  [[nodiscard]] std::uint64_t trace_dropped() const { return trace_dropped_; }
-  /// Observe every retirement as it happens, independent of the trace
-  /// storage mode — the streaming hook cva6::TraceCsvWriter attaches to.
-  /// The sink sees records even when trace storage is disabled or the ring
-  /// has wrapped; pass an empty function to detach.  `owner` is an opaque
-  /// tag identifying who installed the sink, so a replaced observer can
-  /// tell it no longer owns the slot and must not clear it (see
-  /// TraceCsvWriter::detach).
-  void set_trace_sink(std::function<void(const CommitRecord&)> sink,
-                      const void* owner = nullptr) {
-    trace_sink_ = std::move(sink);
-    trace_sink_owner_ = owner;
-  }
-  [[nodiscard]] const void* trace_sink_owner() const {
-    return trace_sink_owner_;
-  }
-  /// The retained trace in retirement order (oldest first).  Equals trace()
-  /// in unbounded mode; in ring mode it un-rotates the circular storage.
-  [[nodiscard]] std::vector<CommitRecord> ordered_trace() const;
 
   /// Commit-stall cycles observed (cycles where ready work retired short).
   [[nodiscard]] std::uint64_t stall_cycles() const { return stall_cycles_; }
@@ -180,10 +150,10 @@ class Cva6Core {
   void set_decode_cache_enabled(bool enabled) { decode_cache_enabled_ = enabled; }
 
   /// Checkpoint support.  Serializes architectural state, the ROB in logical
-  /// (oldest-first) order with full decoded entries, the commit trace in raw
-  /// ring-storage order plus ring cursors, the decode-cache contents, and
-  /// every counter a RunReport reads.  Memory is captured separately by the
-  /// owning SoC; the fetch-page cache is reset on load (stat-neutral).
+  /// (oldest-first) order with full decoded entries, the commit trace, the
+  /// decode-cache contents, and every counter a RunReport reads.  Memory is
+  /// captured separately by the owning SoC; the fetch-page cache is reset on
+  /// load (stat-neutral).
   void save_state(sim::SnapshotWriter& writer) const;
   void load_state(sim::SnapshotReader& reader);
 
@@ -238,12 +208,7 @@ class Cva6Core {
   std::size_t rob_cfi_count_ = 0;  ///< CFI-relevant entries currently live.
   std::vector<ScoreboardEntry> candidates_;
   std::vector<CommitRecord> trace_;
-  std::function<void(const CommitRecord&)> trace_sink_;
-  const void* trace_sink_owner_ = nullptr;
   bool trace_enabled_ = true;
-  std::size_t trace_ring_capacity_ = 0;  ///< 0 = unbounded.
-  std::size_t trace_ring_head_ = 0;      ///< Next slot to overwrite.
-  std::uint64_t trace_dropped_ = 0;
   std::uint64_t stall_cycles_ = 0;
   sim::DecodeCache decode_cache_{rv::Xlen::k64};
   bool decode_cache_enabled_ = true;

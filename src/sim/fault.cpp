@@ -62,15 +62,6 @@ std::optional<FaultSite> fault_site_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-bool FaultPlan::has_site(FaultSite site) const {
-  for (const FaultSpec& spec : faults) {
-    if (spec.site == site) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string FaultPlan::serialize() const {
   std::string out;
   for (const FaultSpec& spec : faults) {

@@ -65,7 +65,6 @@ struct FaultPlan {
   std::vector<FaultSpec> faults;
 
   [[nodiscard]] bool empty() const { return faults.empty(); }
-  [[nodiscard]] bool has_site(FaultSite site) const;
 
   /// Deterministic textual form, e.g. "doorbell_drop@1#0+mac_corrupt@0#17"
   /// ("" for the empty plan).  Safe to embed in a scenario serialization.

@@ -165,7 +165,7 @@ class SnapshotReader {
 /// observed log stream matches a cold run's.
 struct Snapshot {
   static constexpr std::uint32_t kMagic = 0x50'4E'53'54;  // "TSNP"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::string scenario;   ///< Scenario::serialize() of the captured run.
   Cycle cycle = 0;        ///< Checkpoint cycle (loop-top boundary).

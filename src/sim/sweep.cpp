@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -40,23 +39,6 @@ void WorkerPool::submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   wake_.notify_one();
-}
-
-void WorkerPool::set_max_queue(std::size_t limit) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  max_queue_ = limit;
-}
-
-bool WorkerPool::try_submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (max_queue_ != 0 && queue_.size() >= max_queue_) {
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  wake_.notify_one();
-  return true;
 }
 
 std::size_t WorkerPool::queued() const {
@@ -349,15 +331,6 @@ JsonWriter& JsonWriter::field(std::string_view key, std::string_view value) {
   }
   out_ += "\"";
   return *this;
-}
-
-bool JsonWriter::write_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) {
-    return false;
-  }
-  os << out_ << "\n";
-  return os.good();
 }
 
 }  // namespace titan::sim

@@ -42,11 +42,10 @@ namespace titan::sim {
 /// (titand) share one pool implementation instead of two thread models.
 ///
 /// Threads are spawned once at construction and live until destruction;
-/// submit() never blocks (the queue is unbounded by default — sweeps own
-/// their whole grid up front).  Callers serving an open-ended request
-/// stream bound the queue with set_max_queue() and admit work through
-/// try_submit(), which refuses instead of queueing past the bound — the
-/// daemon's load-shedding admission control.
+/// submit() never blocks (the queue is unbounded — sweeps own their whole
+/// grid up front).  The daemon sheds load before it submits, by counting
+/// its admitted, not-yet-completed runs (serve::Server), so the pool never
+/// refuses work.
 class WorkerPool {
  public:
   /// Spawn `threads` workers (floored at 1).
@@ -66,17 +65,6 @@ class WorkerPool {
   /// and the daemon both do).
   void submit(std::function<void()> task);
 
-  /// Bound the submission queue for try_submit (0 == unbounded, the
-  /// default).  Tasks already executing on workers do not count against the
-  /// bound — it limits *waiting* work only.
-  void set_max_queue(std::size_t limit);
-
-  /// Enqueue one task unless the queue already holds max_queue waiting
-  /// tasks; returns false (task untouched) when the bound would be
-  /// exceeded.  submit() ignores the bound — only admission-controlled
-  /// callers pay it.
-  [[nodiscard]] bool try_submit(std::function<void()> task);
-
   /// Tasks enqueued but not yet started — the daemon's queue-depth gauge.
   [[nodiscard]] std::size_t queued() const;
   /// Tasks currently executing on a worker.
@@ -92,7 +80,6 @@ class WorkerPool {
   std::condition_variable wake_;       ///< Workers wait for tasks here.
   std::condition_variable idle_;       ///< wait_idle() waits here.
   std::deque<std::function<void()>> queue_;
-  std::size_t max_queue_ = 0;  ///< try_submit bound; 0 == unbounded.
   std::size_t active_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
@@ -192,7 +179,6 @@ class JsonWriter {
   JsonWriter& element(std::uint64_t value);
 
   [[nodiscard]] const std::string& str() const { return out_; }
-  bool write_file(const std::string& path) const;
 
  private:
   void comma_and_indent();

@@ -54,16 +54,4 @@ BusResponse Crossbar::write(Addr addr, unsigned size, std::uint64_t value) {
           .decode_error = false};
 }
 
-void Crossbar::set_device_latency(const std::string& label,
-                                  std::uint32_t cycles) {
-  for (Mapping& mapping : mappings_) {
-    if (mapping.label == label) {
-      mapping.device_latency = cycles;
-      return;
-    }
-  }
-  throw std::invalid_argument("Crossbar '" + name_ + "': no region labelled " +
-                              label);
-}
-
 }  // namespace titan::soc

@@ -99,10 +99,6 @@ class Crossbar {
   };
   [[nodiscard]] const std::vector<Mapping>& mappings() const { return mappings_; }
 
-  /// Override the device latency of a mapped region (used by the "Optimized"
-  /// RoT configuration that swaps the internal interconnect, Sec. V-B).
-  void set_device_latency(const std::string& label, std::uint32_t cycles);
-
   /// Plain-memory window for hoisted instruction fetches: when `addr` decodes
   /// to a MemoryTarget, returns its backing sim::Memory and the mapped region
   /// (so the caller can bound page residency); null memory otherwise.  Does

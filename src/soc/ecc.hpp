@@ -1,10 +1,10 @@
 // SECDED (single-error-correct, double-error-detect) Hamming code.
 //
 // OpenTitan's embedded flash and SRAM are ECC-protected (paper Sec. III-B);
-// the flash model passes every word through this codec.  The construction is the
-// classic extended Hamming code: parity bits at power-of-two positions plus
-// one overall parity bit, parameterised over the data width (32 -> (39,32),
-// 64 -> (72,64)).
+// the queue controller runs an injected memory bit flip through this codec.
+// The construction is the classic extended Hamming code: parity bits at
+// power-of-two positions plus one overall parity bit, parameterised over the
+// data width (32 -> (39,32), 64 -> (72,64)).
 #pragma once
 
 #include <cstdint>

@@ -61,7 +61,7 @@ Observed run_with_engine(const api::Scenario& scenario, api::Engine engine,
   o.result = soc->run();
   o.stepped_cycles = soc->stepped_cycles();
   o.stopped_in_window = soc->stalled_on_rot(soc->host().cycle());
-  o.trace = soc->host().ordered_trace();
+  o.trace = soc->host().trace();
   for (unsigned port = 0; port < 2; ++port) {
     o.filter_scanned[port] = soc->queue_controller().filter(port).scanned();
     o.filter_selected[port] = soc->queue_controller().filter(port).selected();

@@ -1,6 +1,6 @@
 // PR-2 fast-path satellites: the hoisted fetch-page probe (CVA6 + Ibex),
-// the negative (unmapped-page) cache in sim::Memory, and the bounded
-// ring-buffer trace mode.
+// the negative (unmapped-page) cache in sim::Memory, and the default
+// commit trace.
 #include <gtest/gtest.h>
 
 #include "cva6/core.hpp"
@@ -150,7 +150,7 @@ TEST(FetchHoist, IbexRunsFirmwareBehindCrossbar) {
   EXPECT_LT(bus.transaction_count(), core.instret());
 }
 
-// ---- Ring-buffer trace mode -------------------------------------------------
+// ---- Commit trace ----------------------------------------------------------
 
 TEST(RingTrace, UnboundedModeIsUnchangedByDefault) {
   const rv::Image image = workloads::fib_recursive(8);
@@ -160,54 +160,7 @@ TEST(RingTrace, UnboundedModeIsUnchangedByDefault) {
   config.reset_pc = image.base;
   cva6::Cva6Core core(config, memory);
   core.run_baseline();
-  EXPECT_EQ(core.trace_ring_capacity(), 0u);
-  EXPECT_EQ(core.trace_dropped(), 0u);
   EXPECT_EQ(core.trace().size(), core.instret());
-  EXPECT_EQ(core.ordered_trace().size(), core.trace().size());
-}
-
-TEST(RingTrace, BoundedModeKeepsOnlyTheTailInOrder) {
-  const rv::Image image = workloads::fib_recursive(8);
-
-  // Reference: full trace.
-  sim::Memory ref_memory;
-  ref_memory.load(image.base, image.bytes);
-  cva6::Cva6Config config;
-  config.reset_pc = image.base;
-  cva6::Cva6Core reference(config, ref_memory);
-  reference.run_baseline();
-  const auto& full = reference.trace();
-
-  constexpr std::size_t kCapacity = 64;
-  sim::Memory ring_memory;
-  ring_memory.load(image.base, image.bytes);
-  cva6::Cva6Core ringed(config, ring_memory);
-  ringed.set_trace_ring_capacity(kCapacity);
-  ringed.run_baseline();
-
-  EXPECT_EQ(ringed.trace().size(), kCapacity);  // bounded storage
-  EXPECT_EQ(ringed.trace_dropped(), full.size() - kCapacity);
-  const auto tail = ringed.ordered_trace();
-  ASSERT_EQ(tail.size(), kCapacity);
-  // The retained records are exactly the last kCapacity of the full trace,
-  // in retirement order.
-  for (std::size_t i = 0; i < kCapacity; ++i) {
-    EXPECT_EQ(tail[i].pc, full[full.size() - kCapacity + i].pc) << i;
-    EXPECT_EQ(tail[i].cycle, full[full.size() - kCapacity + i].cycle) << i;
-  }
-}
-
-TEST(RingTrace, CapacityLargerThanRunNeverWraps) {
-  const rv::Image image = workloads::fib_recursive(5);
-  sim::Memory memory;
-  memory.load(image.base, image.bytes);
-  cva6::Cva6Config config;
-  config.reset_pc = image.base;
-  cva6::Cva6Core core(config, memory);
-  core.set_trace_ring_capacity(1'000'000);
-  core.run_baseline();
-  EXPECT_EQ(core.trace_dropped(), 0u);
-  EXPECT_EQ(core.ordered_trace().size(), core.instret());
 }
 
 }  // namespace

@@ -319,10 +319,10 @@ TEST(ResilienceTest, ReplayedPlanIsByteIdentical) {
 
   sim::JsonWriter json_a, json_b;
   json_a.begin_object();
-  first.emit_json_fields(json_a);
+  api::ReportSchema().emit_fields(json_a, first);
   json_a.end_object();
   json_b.begin_object();
-  second.emit_json_fields(json_b);
+  api::ReportSchema().emit_fields(json_b, second);
   json_b.end_object();
   EXPECT_EQ(json_a.str(), json_b.str());
 }

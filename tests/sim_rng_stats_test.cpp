@@ -1,10 +1,7 @@
-// Tests for the deterministic RNG and statistics helpers.
+// Tests for the deterministic RNG.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace titan::sim {
 namespace {
@@ -54,59 +51,6 @@ TEST(Rng, ChanceApproximatesProbability) {
   }
   const double rate = static_cast<double>(hits) / trials;
   EXPECT_NEAR(rate, 0.3, 0.01);
-}
-
-TEST(StatSet, AddAndGet) {
-  StatSet stats;
-  stats.add("cycles", 10);
-  stats.add("cycles", 5);
-  stats.set("ipc", 0.8);
-  EXPECT_DOUBLE_EQ(stats.get("cycles"), 15.0);
-  EXPECT_DOUBLE_EQ(stats.get("ipc"), 0.8);
-  EXPECT_DOUBLE_EQ(stats.get("missing"), 0.0);
-  EXPECT_TRUE(stats.has("cycles"));
-  EXPECT_FALSE(stats.has("missing"));
-}
-
-TEST(StatSet, MergeWithPrefix) {
-  StatSet child;
-  child.add("pushes", 3);
-  StatSet parent;
-  parent.merge("queue", child);
-  EXPECT_DOUBLE_EQ(parent.get("queue.pushes"), 3.0);
-}
-
-TEST(StatSet, PrintContainsKeys) {
-  StatSet stats;
-  stats.add("foo", 1);
-  std::ostringstream os;
-  stats.print(os);
-  EXPECT_NE(os.str().find("foo"), std::string::npos);
-}
-
-TEST(Histogram, BasicMoments) {
-  Histogram hist(0, 100, 10);
-  for (int i = 0; i < 100; ++i) hist.record(i);
-  EXPECT_EQ(hist.count(), 100u);
-  EXPECT_NEAR(hist.mean(), 49.5, 1e-9);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 99.0);
-  EXPECT_NEAR(hist.quantile(0.5), 50.0, 10.0);
-}
-
-TEST(Histogram, OutOfRangeValuesCounted) {
-  Histogram hist(0, 10, 5);
-  hist.record(-5);
-  hist.record(100);
-  EXPECT_EQ(hist.count(), 2u);
-  EXPECT_DOUBLE_EQ(hist.min(), -5.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 100.0);
-}
-
-TEST(Histogram, EmptyHistogramIsSafe) {
-  Histogram hist(0, 10, 5);
-  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);
 }
 
 }  // namespace

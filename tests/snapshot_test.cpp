@@ -139,6 +139,12 @@ TEST(SnapshotBlobTest, RejectsBadMagicAndVersion) {
   std::vector<std::uint8_t> bad_version = snapshot->to_blob();
   bad_version[4] = 0x7F;  // unknown future version
   EXPECT_THROW((void)Snapshot::from_blob(bad_version), SnapshotError);
+
+  // Version 1 blobs carried the removed trace-ring fields; they must be
+  // refused, not parsed against the version 2 layout.
+  std::vector<std::uint8_t> old_version = snapshot->to_blob();
+  old_version[4] = 0x01;
+  EXPECT_THROW((void)Snapshot::from_blob(old_version), SnapshotError);
 }
 
 TEST(SnapshotBlobTest, RejectsPayloadCorruption) {
@@ -155,16 +161,6 @@ TEST(SnapshotBlobTest, RejectsTrailingBytes) {
   std::vector<std::uint8_t> blob = snapshot->to_blob();
   blob.push_back(0x00);
   EXPECT_THROW((void)Snapshot::from_blob(blob), SnapshotError);
-}
-
-TEST(SnapshotFileTest, CheckpointFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "snapshot_file_test.ckpt";
-  const auto snapshot = api::capture_checkpoint(tiny_scenario(), 500);
-  api::save_checkpoint_file(*snapshot, path);
-  const Snapshot loaded = api::load_checkpoint_file(path);
-  EXPECT_EQ(loaded.fingerprint, snapshot->fingerprint);
-  EXPECT_EQ(loaded.to_blob(), snapshot->to_blob());
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotFileTest, BundleRoundTripAndRejection) {

@@ -69,16 +69,6 @@ TEST(Crossbar, RejectsOverlappingRegions) {
                std::invalid_argument);
 }
 
-TEST(Crossbar, DeviceLatencyOverride) {
-  sim::Memory mem;
-  MemoryTarget target(mem);
-  Crossbar xbar("tlul", 3);
-  xbar.map({0x0, 0x100}, target, 2, "sram");
-  xbar.set_device_latency("sram", 0);
-  EXPECT_EQ(xbar.read(0x0, 4).latency, 3u);
-  EXPECT_THROW(xbar.set_device_latency("nope", 1), std::invalid_argument);
-}
-
 TEST(Crossbar, CountsTransactions) {
   sim::Memory mem;
   MemoryTarget target(mem);

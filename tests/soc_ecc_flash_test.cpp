@@ -1,12 +1,9 @@
-// ECC and scrambled-flash tests, including exhaustive single/double bit-error
-// properties for the SECDED codec.
+// ECC tests: exhaustive single/double bit-error properties for the SECDED
+// codec.
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "sim/rng.hpp"
 #include "soc/ecc.hpp"
-#include "soc/flash.hpp"
 
 namespace titan::soc {
 namespace {
@@ -76,96 +73,6 @@ TEST_P(SecdedWidthTest, DetectsAllDoubleBitErrors) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, SecdedWidthTest,
                          ::testing::Values(8, 16, 32, 57));
-
-// ---- Scrambled flash -----------------------------------------------------------
-
-TEST(ScrambledFlash, RequiresPowerOfTwoSize) {
-  EXPECT_THROW(ScrambledFlash(1, 1000), std::invalid_argument);
-}
-
-TEST(ScrambledFlash, ProgramReadRoundTrip) {
-  ScrambledFlash flash(0xC0FFEE, 1024);
-  sim::Rng rng(6);
-  std::vector<std::uint32_t> values(256);
-  for (std::uint32_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<std::uint32_t>(rng.next());
-    flash.program(i, values[i]);
-  }
-  for (std::uint32_t i = 0; i < values.size(); ++i) {
-    const EccResult result = flash.read(i);
-    ASSERT_EQ(result.status, EccStatus::kOk);
-    ASSERT_EQ(result.data, values[i]);
-  }
-}
-
-TEST(ScrambledFlash, AddressScramblingIsBijective) {
-  ScrambledFlash flash(0xBEEF, 4096);
-  std::set<std::uint32_t> seen;
-  for (std::uint32_t i = 0; i < 4096; ++i) {
-    const std::uint32_t phys = flash.scramble_address(i);
-    ASSERT_LT(phys, 4096u);
-    ASSERT_TRUE(seen.insert(phys).second) << "collision at " << i;
-  }
-}
-
-TEST(ScrambledFlash, ScramblingIsKeyDependent) {
-  ScrambledFlash flash_a(1, 4096);
-  ScrambledFlash flash_b(2, 4096);
-  int differing = 0;
-  for (std::uint32_t i = 0; i < 4096; ++i) {
-    if (flash_a.scramble_address(i) != flash_b.scramble_address(i)) {
-      ++differing;
-    }
-  }
-  EXPECT_GT(differing, 4000);
-}
-
-TEST(ScrambledFlash, DataIsScrambledAtRest) {
-  // Two devices with different keys storing the same logical value must not
-  // (generally) hold the same physical codeword — checked indirectly: the
-  // same cell read under the wrong key yields different data.
-  ScrambledFlash flash_a(10, 64);
-  ScrambledFlash flash_b(20, 64);
-  flash_a.program(0, 0x12345678);
-  flash_b.program(0, 0x12345678);
-  EXPECT_EQ(flash_a.read(0).data, flash_b.read(0).data);  // each self-consistent
-}
-
-TEST(ScrambledFlash, SingleBitflipCorrected) {
-  ScrambledFlash flash(0xAB, 64);
-  flash.program(5, 0xCAFEBABE);
-  flash.inject_bitflip(5, 7);
-  const EccResult result = flash.read(5);
-  EXPECT_EQ(result.status, EccStatus::kCorrected);
-  EXPECT_EQ(result.data, 0xCAFEBABEu);
-  EXPECT_EQ(flash.corrected_reads(), 1u);
-}
-
-TEST(ScrambledFlash, DoubleBitflipDetected) {
-  ScrambledFlash flash(0xAB, 64);
-  flash.program(5, 0xCAFEBABE);
-  flash.inject_bitflip(5, 7);
-  flash.inject_bitflip(5, 20);
-  const EccResult result = flash.read(5);
-  EXPECT_EQ(result.status, EccStatus::kUncorrectable);
-  EXPECT_EQ(flash.failed_reads(), 1u);
-}
-
-TEST(ScrambledFlash, ErasedReadsAllOnes) {
-  ScrambledFlash flash(0xAB, 64);
-  const EccResult result = flash.read(3);
-  EXPECT_EQ(result.status, EccStatus::kOk);
-  EXPECT_EQ(result.data, 0xFFFFFFFFu);
-}
-
-TEST(ScrambledFlash, OutOfRangeThrows) {
-  ScrambledFlash flash(0xAB, 64);
-  EXPECT_THROW(flash.program(64, 1), std::out_of_range);
-  EXPECT_THROW((void)flash.read(64), std::out_of_range);
-  flash.program(0, 1);
-  EXPECT_THROW(flash.inject_bitflip(0, 39), std::out_of_range);
-  EXPECT_THROW(flash.inject_bitflip(1, 0), std::logic_error);
-}
 
 }  // namespace
 }  // namespace titan::soc

@@ -41,7 +41,7 @@ struct Observed {
 };
 
 void collect(cfi::SocTop& soc, Observed& o) {
-  o.trace = soc.host().ordered_trace();
+  o.trace = soc.host().trace();
   for (unsigned port = 0; port < 2; ++port) {
     o.filter_scanned[port] = soc.queue_controller().filter(port).scanned();
     o.filter_selected[port] = soc.queue_controller().filter(port).selected();
@@ -69,7 +69,7 @@ Observed run_cold(const api::Scenario& scenario, api::Engine engine) {
 }
 
 /// Capture with the same configuration the observed runs use (trace on), so
-/// the checkpointed trace-ring state matches.
+/// the checkpointed trace matches.
 std::shared_ptr<const sim::Snapshot> checkpoint_at(
     const api::Scenario& scenario, sim::Cycle at) {
   api::RunHooks hooks;

@@ -234,13 +234,6 @@ TEST(ReportSchema, DefaultRenderingMatchesLegacyEmission) {
       *api::ScenarioRegistry::global().find("irq/baseline/burst1"));
   const std::string rendered = api::ReportSchema().render(report);
   EXPECT_EQ(rendered.find("report_schema_version"), std::string::npos);
-
-  // RunReport::emit_json_fields is the schema's shorthand — same bytes.
-  sim::JsonWriter json;
-  json.begin_object();
-  report.emit_json_fields(json);
-  json.end_object();
-  EXPECT_EQ(json.str(), rendered);
 }
 
 TEST(ReportSchema, VersionFieldLeadsWhenEnabled) {
