@@ -160,11 +160,8 @@ rv::Image Scenario::workload_image() const {
   return workload_.build();
 }
 
-rv::Image Scenario::firmware_image() const { return fw::build_firmware(fw_); }
-
 std::unique_ptr<cfi::SocTop> Scenario::make_soc() const {
-  return std::make_unique<cfi::SocTop>(soc_, workload_image(),
-                                       firmware_image());
+  return std::make_unique<cfi::SocTop>(soc_, workload_image(), rom_);
 }
 
 std::string Scenario::serialize() const {
@@ -508,6 +505,7 @@ Scenario ScenarioBuilder::build() const {
   // builder field configures both the Log Writer and the firmware generator.
   scenario.fw_.retry_handshake = doorbell_timeout_ > 0;
   scenario.fw_.mac_rerequest = mac_rerequest_;
+  scenario.rom_ = ibex::FirmwareRom::build(fw::build_firmware(scenario.fw_));
   scenario.warm_start_ = warm_start_;
   return scenario;
 }

@@ -132,7 +132,9 @@ class Scenario {
   /// (attacks::generate is deterministic), so there are no image bytes to
   /// fingerprint and the serialized plan IS the program identity.
   [[nodiscard]] rv::Image workload_image() const;
-  [[nodiscard]] rv::Image firmware_image() const;
+  [[nodiscard]] const rv::Image& firmware_image() const {
+    return rom_->image();
+  }
   /// Instantiate the full co-simulation (host + CFI stage + RoT) for this
   /// scenario — the only construction path the benches and examples use.
   [[nodiscard]] std::unique_ptr<cfi::SocTop> make_soc() const;
@@ -169,6 +171,8 @@ class Scenario {
   std::optional<attacks::AttackPlan> attack_;
   cfi::SocConfig soc_;
   fw::FirmwareConfig fw_;
+  /// The RoT ROM built from fw_, shared by copies and every SoC made.
+  std::shared_ptr<const ibex::FirmwareRom> rom_;
   std::shared_ptr<const sim::Snapshot> warm_start_;
 };
 

@@ -27,8 +27,9 @@ struct Bench {
     const auto fabric = variant == RotVariant::kOptimized
                             ? cfi::RotFabric::kOptimized
                             : cfi::RotFabric::kBaseline;
-    rot = std::make_unique<cfi::RotSubsystem>(build_firmware(config), fabric,
-                                              mailbox, soc_memory);
+    rot = std::make_unique<cfi::RotSubsystem>(
+        ibex::FirmwareRom::build(build_firmware(config)), fabric, mailbox,
+        soc_memory);
     // Run init until the firmware reaches its idle loop.
     for (int guard = 0; guard < 10000; ++guard) {
       if (idle()) {

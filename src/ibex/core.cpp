@@ -1,5 +1,8 @@
 #include "ibex/core.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "rv/decode.hpp"
 #include "rv/isa.hpp"
 
@@ -11,9 +14,15 @@ std::int32_t s32(std::uint32_t value) { return static_cast<std::int32_t>(value);
 
 }  // namespace
 
-IbexCore::IbexCore(const IbexConfig& config, soc::Crossbar& bus)
+IbexCore::IbexCore(const IbexConfig& config, soc::Crossbar& bus,
+                   const FirmwareRom* rom)
     : config_(config), bus_(bus), pc_(config.reset_pc) {
   regs_[2] = config.reset_sp;
+  if (rom != nullptr) {
+    rom_table_ = rom->table().data();
+    rom_base_ = rom->base();
+    rom_slots_ = static_cast<std::uint32_t>(rom->table().size());
+  }
 }
 
 std::uint32_t IbexCore::csr(std::uint32_t number) const {
@@ -43,13 +52,7 @@ void IbexCore::set_csr(std::uint32_t number, std::uint32_t value) {
   }
 }
 
-IbexStep IbexCore::take_trap() {
-  IbexStep info;
-  info.pc = pc_;
-  info.irq_entry = true;
-  info.retired = false;
-  info.cycles = sleeping_ ? config_.wakeup_latency : config_.trap_entry_latency;
-
+Cycle IbexCore::take_trap() {
   mepc_ = pc_;
   mcause_ = kMcauseExtIrq;
   // MPIE <- MIE, MIE <- 0.
@@ -60,83 +63,95 @@ IbexStep IbexCore::take_trap() {
   }
   mstatus_ &= ~kMstatusMie;
   pc_ = mtvec_ & ~0x3u;
+  const Cycle cycles =
+      sleeping_ ? config_.wakeup_latency : config_.trap_entry_latency;
   sleeping_ = false;
-  cycle_ += info.cycles;
-  return info;
+  cycle_ += cycles;
+  return cycles;
 }
 
-std::uint32_t IbexCore::fetch_window(std::uint32_t addr) {
-  // Hoisted fast path: the window never leaves the cached page (and the
-  // page never leaves its mapped region, guarded on refill), which is at
-  // least as strict as the per-halfword decode below.
-  std::uint32_t window;
-  if (fetch_cache_.lookup(addr, &window)) [[likely]] {
-    return window;
+inline const rv::Inst& IbexCore::fetch() {
+  // Rotating the offset right by one sends odd offsets past every slot.
+  const std::uint32_t slot = std::rotr(pc_ - rom_base_, 1);
+  if (slot < rom_slots_ && rom_table_[slot].len != 0) [[likely]] {
+    return rom_table_[slot];
   }
-  const std::uint64_t page_base = addr & ~(sim::Memory::kPageSize - 1);
-  const auto target = bus_.fetch_window_target(addr);
-  if (target.memory != nullptr && target.region.base <= page_base &&
-      page_base + sim::Memory::kPageSize <= target.region.end() &&
-      fetch_cache_.refill(*target.memory, addr, &window)) {
-    return window;
-  }
+  return fetch_slow();
+}
+
+const rv::Inst& IbexCore::fetch_slow() {
+  ++off_rom_instructions_;
   // The prefetch buffer hides instruction-fetch latency in steady state; we
   // charge fetch time only through the taken-branch penalty.  The high half
   // is fetched only for uncompressed encodings: a single 4-byte read would
   // be routed by the low address alone and could reach past the end of a
   // mapped region, which the crossbar's per-halfword decode never allows.
-  const std::uint32_t low = static_cast<std::uint32_t>(bus_.read(addr, 2).value);
-  if ((low & 3) != 3) {
-    return low;
+  std::uint32_t window = static_cast<std::uint32_t>(bus_.read(pc_, 2).value);
+  if ((window & 3) == 3) {
+    window |= static_cast<std::uint32_t>(bus_.read(pc_ + 2, 2).value) << 16;
   }
-  const std::uint32_t high =
-      static_cast<std::uint32_t>(bus_.read(addr + 2, 2).value);
-  return low | (high << 16);
+  slow_inst_ = rv::decode(window, rv::Xlen::k32);
+  return slow_inst_;
 }
 
 IbexStep IbexCore::step() {
+  IbexStep info;
+  info.retired = false;
   if (halted_) {
-    IbexStep info;
-    info.retired = false;
     return info;
   }
-
-  const bool irq_enabled =
-      (mstatus_ & kMstatusMie) != 0 && (mie_ & kMieMeie) != 0;
-  if (irq_line_ && irq_enabled) {
-    return take_trap();
+  if (irq_pending()) {
+    info.pc = pc_;
+    info.irq_entry = true;
+    info.cycles = take_trap();
+    return info;
   }
   if (sleeping_) {
-    IbexStep info;
-    info.retired = false;
     info.cycles = 1;
     cycle_ += 1;
     return info;
   }
 
-  const std::uint32_t window = fetch_window(pc_);
-  rv::Inst uncached;
-  const rv::Inst* decoded;
-  if (decode_cache_enabled_) {
-    decoded = &decode_cache_.decode(pc_, window);
-  } else {
-    uncached = rv::decode(window, rv::Xlen::k32);
-    decoded = &uncached;
-  }
-  const rv::Inst& inst = *decoded;
-
-  IbexStep info;
   info.pc = pc_;
-  info.inst = inst;
-  info.cycles = 1;
-
-  execute(inst, info);
+  info.retired = true;
+  Effect effect;
+  execute(fetch(), effect);
   ++instret_;
-  cycle_ += info.cycles;
+  cycle_ += effect.cycles;
+  info.cycles = effect.cycles;
+  info.mem_cycles = effect.mem_cycles;
+  if (effect.accessed) {
+    info.mem_addr = effect.mem_addr;
+  }
   return info;
 }
 
-void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
+Cycle IbexCore::run(Cycle target) {
+  // The interrupt line, the enables and the sleep state change only in a
+  // step that ends this call, so the trap and sleep checks hold until then.
+  const Cycle started = cycle_;
+  if (irq_pending()) {
+    take_trap();
+    return started;
+  }
+  if (sleeping_) {
+    // Asleep with the line raised but masked: one idle cycle per step.
+    cycle_ = std::max(target, started + 1);
+    return cycle_ - 1;
+  }
+  for (;;) {
+    const Cycle start = cycle_;
+    Effect effect;
+    execute(fetch(), effect);
+    ++instret_;
+    cycle_ += effect.cycles;
+    if (effect.event || cycle_ >= target) {
+      return start;
+    }
+  }
+}
+
+void IbexCore::execute(const rv::Inst& inst, Effect& effect) {
   using rv::Op;
   const std::uint32_t rs1 = regs_[inst.rs1];
   const std::uint32_t rs2 = regs_[inst.rs2];
@@ -144,23 +159,25 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
   std::uint32_t rd_value = 0;
   bool writes_rd = true;
 
+  auto note_access = [&](Addr addr, std::uint32_t latency) {
+    effect.mem_addr = addr;
+    effect.mem_cycles = latency;
+    effect.cycles += latency;
+    effect.accessed = true;
+    effect.event |= !soc::kRotSram.contains(addr);
+  };
   auto mem_read = [&](Addr addr, unsigned size) {
     const soc::BusResponse response = bus_.read(addr, size);
-    info.mem_addr = addr;
-    info.mem_cycles = response.latency;
-    info.cycles += response.latency;
+    note_access(addr, response.latency);
     return response.value;
   };
   auto mem_write = [&](Addr addr, unsigned size, std::uint64_t value) {
-    const soc::BusResponse response = bus_.write(addr, size, value);
-    info.mem_addr = addr;
-    info.mem_cycles = response.latency;
-    info.cycles += response.latency;
+    note_access(addr, bus_.write(addr, size, value).latency);
   };
   auto ea = [&] { return rs1 + static_cast<std::uint32_t>(inst.imm); };
   auto take_cf = [&](std::uint32_t target) {
     next_pc = target;
-    info.cycles += config_.taken_cf_penalty;
+    effect.cycles += config_.taken_cf_penalty;
   };
 
   switch (inst.op) {
@@ -220,9 +237,11 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
     case Op::kEbreak:
       writes_rd = false;
       halted_ = true;
+      effect.event = true;
       break;
     case Op::kMret:
       writes_rd = false;
+      effect.event = true;
       next_pc = mepc_;
       if ((mstatus_ & kMstatusMpie) != 0) {
         mstatus_ |= kMstatusMie;
@@ -230,19 +249,22 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
         mstatus_ &= ~kMstatusMie;
       }
       mstatus_ |= kMstatusMpie;
-      info.cycles += config_.taken_cf_penalty;
+      effect.cycles += config_.taken_cf_penalty;
       break;
     case Op::kWfi:
       writes_rd = false;
       sleeping_ = true;
+      effect.event = true;
       break;
     case Op::kCsrrw: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       set_csr(static_cast<std::uint32_t>(inst.imm), rs1);
       rd_value = old;
       break;
     }
     case Op::kCsrrs: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       if (inst.rs1 != 0) {
         set_csr(static_cast<std::uint32_t>(inst.imm), old | rs1);
@@ -251,6 +273,7 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
       break;
     }
     case Op::kCsrrc: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       if (inst.rs1 != 0) {
         set_csr(static_cast<std::uint32_t>(inst.imm), old & ~rs1);
@@ -259,12 +282,14 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
       break;
     }
     case Op::kCsrrwi: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       set_csr(static_cast<std::uint32_t>(inst.imm), inst.rs1);
       rd_value = old;
       break;
     }
     case Op::kCsrrsi: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       if (inst.rs1 != 0) {
         set_csr(static_cast<std::uint32_t>(inst.imm), old | inst.rs1);
@@ -273,6 +298,7 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
       break;
     }
     case Op::kCsrrci: {
+      effect.event = true;
       const std::uint32_t old = csr(static_cast<std::uint32_t>(inst.imm));
       if (inst.rs1 != 0) {
         set_csr(static_cast<std::uint32_t>(inst.imm), old & ~static_cast<std::uint32_t>(inst.rs1));
@@ -282,50 +308,51 @@ void IbexCore::execute(const rv::Inst& inst, IbexStep& info) {
     }
     case Op::kMul:
       rd_value = rs1 * rs2;
-      info.cycles += config_.mul_cycles - 1;
+      effect.cycles += config_.mul_cycles - 1;
       break;
     case Op::kMulh:
       rd_value = static_cast<std::uint32_t>(
           (static_cast<std::int64_t>(s32(rs1)) * s32(rs2)) >> 32);
-      info.cycles += config_.mul_cycles - 1;
+      effect.cycles += config_.mul_cycles - 1;
       break;
     case Op::kMulhsu:
       rd_value = static_cast<std::uint32_t>(
           (static_cast<std::int64_t>(s32(rs1)) * static_cast<std::uint64_t>(rs2)) >> 32);
-      info.cycles += config_.mul_cycles - 1;
+      effect.cycles += config_.mul_cycles - 1;
       break;
     case Op::kMulhu:
       rd_value = static_cast<std::uint32_t>(
           (static_cast<std::uint64_t>(rs1) * rs2) >> 32);
-      info.cycles += config_.mul_cycles - 1;
+      effect.cycles += config_.mul_cycles - 1;
       break;
     case Op::kDiv:
       rd_value = rs2 == 0 ? 0xFFFFFFFFu
                  : (rs1 == 0x80000000u && rs2 == 0xFFFFFFFFu)
                      ? 0x80000000u
                      : static_cast<std::uint32_t>(s32(rs1) / s32(rs2));
-      info.cycles += config_.div_cycles - 1;
+      effect.cycles += config_.div_cycles - 1;
       break;
     case Op::kDivu:
       rd_value = rs2 == 0 ? 0xFFFFFFFFu : rs1 / rs2;
-      info.cycles += config_.div_cycles - 1;
+      effect.cycles += config_.div_cycles - 1;
       break;
     case Op::kRem:
       rd_value = rs2 == 0 ? rs1
                  : (rs1 == 0x80000000u && rs2 == 0xFFFFFFFFu)
                      ? 0
                      : static_cast<std::uint32_t>(s32(rs1) % s32(rs2));
-      info.cycles += config_.div_cycles - 1;
+      effect.cycles += config_.div_cycles - 1;
       break;
     case Op::kRemu:
       rd_value = rs2 == 0 ? rs1 : rs1 % rs2;
-      info.cycles += config_.div_cycles - 1;
+      effect.cycles += config_.div_cycles - 1;
       break;
     default:
       // Illegal instruction or RV64-only op: halt with no architectural
       // effects (the firmware images never contain these).
       writes_rd = false;
       halted_ = true;
+      effect.event = true;
       break;
   }
 

@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
+#include "ibex/rom.hpp"
 #include "rv/isa.hpp"
-#include "sim/decode_cache.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 #include "soc/bus.hpp"
 
@@ -28,6 +28,12 @@ namespace titan::ibex {
 
 using sim::Addr;
 using sim::Cycle;
+
+/// mstatus/mie bit positions used by the model.
+inline constexpr std::uint32_t kMstatusMie = 1u << 3;
+inline constexpr std::uint32_t kMstatusMpie = 1u << 7;
+inline constexpr std::uint32_t kMieMeie = 1u << 11;
+inline constexpr std::uint32_t kMcauseExtIrq = 0x8000000Bu;
 
 struct IbexConfig {
   std::uint32_t reset_pc = 0;
@@ -44,7 +50,6 @@ struct IbexConfig {
 /// One retired instruction with its timing, for firmware cost attribution.
 struct IbexStep {
   std::uint32_t pc = 0;
-  rv::Inst inst;
   Cycle cycles = 0;           ///< Total cycles charged to this step.
   Cycle mem_cycles = 0;       ///< Portion spent on the data-memory access.
   std::optional<Addr> mem_addr;  ///< Effective address of a load/store.
@@ -54,10 +59,23 @@ struct IbexStep {
 
 class IbexCore {
  public:
-  IbexCore(const IbexConfig& config, soc::Crossbar& bus);
+  /// `rom` (may be null): pre-decoded code the core executes from without
+  /// fetching; it must stay alive, and its bytes must be what `bus` reads at
+  /// its addresses, for the core's lifetime.
+  IbexCore(const IbexConfig& config, soc::Crossbar& bus,
+           const FirmwareRom* rom = nullptr);
 
   /// Execute one step (instruction or trap entry) and advance the clock.
   IbexStep step();
+
+  /// Execute steps, without a record, while cycle() < target.  Returns after
+  /// the first step that may have changed what the caller must re-read — a
+  /// trap entry, a bus access outside the RoT's private SRAM (plain RAM, so
+  /// no device sees it), a CSR access, mret, wfi or a halt — or that reached
+  /// `target`, yielding the cycle that step started at.  Call only when not
+  /// halted; the interrupt line is the caller's to keep current between
+  /// calls.
+  Cycle run(Cycle target);
 
   /// Level-triggered external interrupt line (from the RoT PLIC).
   void set_irq_line(bool asserted) { irq_line_ = asserted; }
@@ -82,17 +100,15 @@ class IbexCore {
   /// skip idle RoT time between doorbells).
   void advance_clock(Cycle cycles) { cycle_ += cycles; }
 
-  /// Decoded-instruction cache (shared design with the CVA6 model; entries
-  /// are validated against the raw fetch window, so firmware reload or
-  /// self-modifying stores invalidate exactly).
-  [[nodiscard]] const sim::DecodeCache& decode_cache() const {
-    return decode_cache_;
+  /// Instructions fetched and decoded outside the ROM table (RAM, or a ROM
+  /// address the sweep did not reach).  An execution statistic, not state:
+  /// absent from snapshots and reports.
+  [[nodiscard]] std::uint64_t off_rom_instructions() const {
+    return off_rom_instructions_;
   }
-  void set_decode_cache_enabled(bool enabled) { decode_cache_enabled_ = enabled; }
 
-  /// Checkpoint support: architectural registers, CSRs, clock, sleep/halt
-  /// flags and the decode-cache contents.  The fetch-page cache is reset on
-  /// load (stat-neutral refill).
+  /// Checkpoint support: architectural registers, CSRs, clock and the
+  /// interrupt-line, sleep and halt flags.
   void save_state(sim::SnapshotWriter& writer) const {
     for (const std::uint32_t reg : regs_) {
       writer.u32(reg);
@@ -109,8 +125,6 @@ class IbexCore {
     writer.boolean(irq_line_);
     writer.boolean(sleeping_);
     writer.boolean(halted_);
-    decode_cache_.save_state(writer);
-    writer.boolean(decode_cache_enabled_);
   }
   void load_state(sim::SnapshotReader& reader) {
     for (std::uint32_t& reg : regs_) {
@@ -128,15 +142,29 @@ class IbexCore {
     irq_line_ = reader.boolean();
     sleeping_ = reader.boolean();
     halted_ = reader.boolean();
-    decode_cache_.load_state(reader);
-    decode_cache_enabled_ = reader.boolean();
-    fetch_cache_.invalidate();
   }
 
  private:
-  IbexStep take_trap();
-  [[nodiscard]] std::uint32_t fetch_window(std::uint32_t addr);
-  void execute(const rv::Inst& inst, IbexStep& info);
+  /// What execute() did beyond the architectural state: the cycles it
+  /// charged, its data access, and whether run() must return after it.
+  struct Effect {
+    Cycle cycles = 1;
+    Cycle mem_cycles = 0;
+    Addr mem_addr = 0;
+    bool accessed = false;
+    bool event = false;
+  };
+
+  [[nodiscard]] bool irq_pending() const {
+    return irq_line_ && (mstatus_ & kMstatusMie) != 0 && (mie_ & kMieMeie) != 0;
+  }
+  /// Trap entry; returns the cycles it charged.
+  Cycle take_trap();
+  /// The decoded instruction at pc_: the ROM table entry, or an exact
+  /// crossbar fetch plus rv::decode.
+  [[nodiscard]] const rv::Inst& fetch();
+  const rv::Inst& fetch_slow();
+  void execute(const rv::Inst& inst, Effect& effect);
 
   IbexConfig config_;
   soc::Crossbar& bus_;
@@ -158,19 +186,13 @@ class IbexCore {
   bool sleeping_ = false;
   bool halted_ = false;
 
-  sim::DecodeCache decode_cache_{rv::Xlen::k32, 2048};
-  bool decode_cache_enabled_ = true;
-  /// Hoisted fetch-page probe (see sim::FetchPageCache): engaged when the
-  /// PC's region decodes to plain memory (the firmware ROM) past the
-  /// crossbar.  Timing is unchanged — fetch latency is hidden by the
-  /// prefetch buffer and charged via the taken-branch penalty.
-  sim::FetchPageCache fetch_cache_;
+  /// The ROM table (null when there is none) and its halfword slot count.
+  const rv::Inst* rom_table_ = nullptr;
+  std::uint32_t rom_base_ = 0;
+  std::uint32_t rom_slots_ = 0;
+  /// Decoded form of the last off-table fetch.
+  rv::Inst slow_inst_;
+  std::uint64_t off_rom_instructions_ = 0;
 };
-
-/// mstatus/mie bit positions used by the model.
-inline constexpr std::uint32_t kMstatusMie = 1u << 3;
-inline constexpr std::uint32_t kMstatusMpie = 1u << 7;
-inline constexpr std::uint32_t kMieMeie = 1u << 11;
-inline constexpr std::uint32_t kMcauseExtIrq = 0x8000000Bu;
 
 }  // namespace titan::ibex

@@ -1,6 +1,7 @@
-// Decoded-instruction cache shared by the CVA6 and Ibex core models.
+// Decoded-instruction cache of the CVA6 core model (the Ibex model runs its
+// firmware from a pre-decoded ROM instead, see ibex::FirmwareRom).
 //
-// Both ISS front-ends used to run every fetched window through rv::decode —
+// The ISS front-end used to run every fetched window through rv::decode —
 // a large switch plus RVC expansion — on every dynamic instruction.  Decode
 // is a pure function of the 32-bit fetch window (and XLEN), so a
 // direct-mapped, PC-indexed cache whose entries are *validated against the

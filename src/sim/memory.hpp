@@ -328,7 +328,7 @@ class Memory {
   bool strict_unmapped_ = false;
 };
 
-/// Hoisted fetch-page probe shared by the ISS cores: sequential fetches
+/// Hoisted fetch-page probe of the CVA6 core: sequential fetches
 /// between taken branches stay on one 4 KiB page, so the page is resolved
 /// once (lookup/refill) and revalidated with a page-number/epoch compare
 /// per fetch instead of a full memory or bus access.  In-place stores are

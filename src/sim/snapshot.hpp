@@ -159,13 +159,13 @@ class SnapshotReader {
 };
 
 /// One frozen SoC state.  `memories` is ordered by the capturing SocTop
-/// (host DRAM, RoT ROM, RoT SRAM); `state` is the flat component stream;
+/// (host DRAM, RoT SRAM); `state` is the flat component stream;
 /// `log_words` is the packed prefix of commit logs the checkpointed run had
 /// already popped to its log sink, replayed on warm start so a forked run's
 /// observed log stream matches a cold run's.
 struct Snapshot {
   static constexpr std::uint32_t kMagic = 0x50'4E'53'54;  // "TSNP"
-  static constexpr std::uint32_t kVersion = 2;
+  static constexpr std::uint32_t kVersion = 3;
 
   std::string scenario;   ///< Scenario::serialize() of the captured run.
   Cycle cycle = 0;        ///< Checkpoint cycle (loop-top boundary).

@@ -34,7 +34,7 @@ BusResponse Crossbar::read(Addr addr, unsigned size) {
   ++transactions_;
   Mapping* mapping = lookup(addr);
   if (mapping == nullptr) {
-    return {.value = 0, .latency = hop_latency_, .decode_error = true};
+    return {.value = 0, .latency = hop_latency_, .error = true};
   }
   BusResponse response;
   response.value = mapping->target->read(addr, size);
@@ -45,13 +45,13 @@ BusResponse Crossbar::read(Addr addr, unsigned size) {
 BusResponse Crossbar::write(Addr addr, unsigned size, std::uint64_t value) {
   ++transactions_;
   Mapping* mapping = lookup(addr);
-  if (mapping == nullptr) {
-    return {.value = 0, .latency = hop_latency_, .decode_error = true};
+  // A refused store costs what an unmapped one does.
+  if (mapping == nullptr || !mapping->target->write(addr, size, value)) {
+    return {.value = 0, .latency = hop_latency_, .error = true};
   }
-  mapping->target->write(addr, size, value);
   return {.value = 0,
           .latency = hop_latency_ + mapping->device_latency,
-          .decode_error = false};
+          .error = false};
 }
 
 }  // namespace titan::soc

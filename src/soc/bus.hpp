@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,9 @@ class BusTarget {
  public:
   virtual ~BusTarget() = default;
   virtual std::uint64_t read(Addr addr, unsigned size) = 0;
-  virtual void write(Addr addr, unsigned size, std::uint64_t value) = 0;
-
-  /// The plain sim::Memory this target adapts, if it is simple RAM/ROM with
-  /// no side effects (null for device targets).  Lets an ISS hoist its
-  /// fetch-page probe past the crossbar; functional behaviour is identical
-  /// because reads of plain memory have no device semantics.
-  [[nodiscard]] virtual sim::Memory* backing_memory() { return nullptr; }
+  /// Returns false when the target refuses the store (read-only); the
+  /// crossbar answers that with a bus error.
+  virtual bool write(Addr addr, unsigned size, std::uint64_t value) = 0;
 };
 
 /// Adapts a sim::Memory to the bus interface.
@@ -49,26 +46,52 @@ class MemoryTarget final : public BusTarget {
     }
   }
 
-  void write(Addr addr, unsigned size, std::uint64_t value) override {
+  bool write(Addr addr, unsigned size, std::uint64_t value) override {
     switch (size) {
       case 1: memory_.write8(addr, static_cast<std::uint8_t>(value)); break;
       case 2: memory_.write16(addr, static_cast<std::uint16_t>(value)); break;
       case 4: memory_.write32(addr, static_cast<std::uint32_t>(value)); break;
       default: memory_.write64(addr, value); break;
     }
+    return true;
   }
-
-  [[nodiscard]] sim::Memory* backing_memory() override { return &memory_; }
 
  private:
   sim::Memory& memory_;
+};
+
+/// Read-only view of immutable bytes at `base` (the RoT ROM).  Bytes past
+/// the image read as zero, as unwritten sim::Memory does; every store is
+/// refused and changes nothing.
+class RomTarget final : public BusTarget {
+ public:
+  RomTarget(Addr base, std::span<const std::uint8_t> bytes)
+      : base_(base), bytes_(bytes) {}
+
+  std::uint64_t read(Addr addr, unsigned size) override {
+    std::uint64_t value = 0;
+    for (unsigned i = 0; i < size; ++i) {
+      const Addr offset = addr + i - base_;
+      if (offset < bytes_.size()) {
+        value |= std::uint64_t{bytes_[offset]} << (8 * i);
+      }
+    }
+    return value;
+  }
+
+  bool write(Addr, unsigned, std::uint64_t) override { return false; }
+
+ private:
+  Addr base_;
+  std::span<const std::uint8_t> bytes_;
 };
 
 /// Result of a timed bus access.
 struct BusResponse {
   std::uint64_t value = 0;  ///< Read data (zero for writes).
   std::uint32_t latency = 0;  ///< Cycles from issue to completion.
-  bool decode_error = false;  ///< No target claimed the address.
+  /// No target claimed the address, or the target refused a store.
+  bool error = false;
 };
 
 /// Address-decoding crossbar with per-region access latency.
@@ -98,23 +121,6 @@ class Crossbar {
     std::string label;
   };
   [[nodiscard]] const std::vector<Mapping>& mappings() const { return mappings_; }
-
-  /// Plain-memory window for hoisted instruction fetches: when `addr` decodes
-  /// to a MemoryTarget, returns its backing sim::Memory and the mapped region
-  /// (so the caller can bound page residency); null memory otherwise.  Does
-  /// not count as a bus transaction — the Ibex prefetch buffer hides fetch
-  /// latency anyway (fetch timing is charged via the taken-branch penalty).
-  struct FetchWindow {
-    sim::Memory* memory = nullptr;
-    Region region{};
-  };
-  [[nodiscard]] FetchWindow fetch_window_target(Addr addr) {
-    Mapping* mapping = lookup(addr);
-    if (mapping == nullptr) {
-      return {};
-    }
-    return {mapping->target->backing_memory(), mapping->region};
-  }
 
   [[nodiscard]] std::uint64_t transaction_count() const { return transactions_; }
 

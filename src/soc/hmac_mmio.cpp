@@ -96,7 +96,7 @@ void HmacMmio::load_state(sim::SnapshotReader& reader) {
   key_slots_.clear();  // Re-derived on demand; derivation is observably pure.
 }
 
-void HmacMmio::write(Addr addr, unsigned size, std::uint64_t value) {
+bool HmacMmio::write(Addr addr, unsigned size, std::uint64_t value) {
   (void)size;
   const Addr offset = addr & 0xFF;
   switch (offset) {
@@ -117,6 +117,7 @@ void HmacMmio::write(Addr addr, unsigned size, std::uint64_t value) {
     default:
       break;
   }
+  return true;
 }
 
 }  // namespace titan::soc

@@ -47,7 +47,7 @@ class HmacMmio final : public BusTarget {
   HmacMmio(Crossbar& data_bus, std::uint64_t device_secret, ClockFn clock);
 
   std::uint64_t read(Addr addr, unsigned size) override;
-  void write(Addr addr, unsigned size, std::uint64_t value) override;
+  bool write(Addr addr, unsigned size, std::uint64_t value) override;
 
   [[nodiscard]] const crypto::HmacAccel& engine() const { return engine_; }
   [[nodiscard]] std::uint64_t starts() const { return starts_; }

@@ -43,7 +43,7 @@ std::uint64_t Mailbox::read(Addr addr, unsigned size) {
   return value;
 }
 
-void Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
+bool Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
   const Addr offset = reg_offset(addr);
   if (offset == kDoorbellOffset) {
     if ((value & 1) != 0) {
@@ -51,7 +51,7 @@ void Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
     } else {
       clear_doorbell();
     }
-    return;
+    return true;
   }
   if (offset == kCompletionOffset) {
     if ((value & 1) != 0) {
@@ -59,11 +59,11 @@ void Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
     } else {
       clear_completion();
     }
-    return;
+    return true;
   }
   std::uint64_t* reg = reg_at(offset);
   if (reg == nullptr) {
-    return;
+    return true;
   }
   if (size == 8) {
     *reg = value;
@@ -72,6 +72,7 @@ void Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
     const std::uint64_t mask = ((std::uint64_t{1} << (8 * size)) - 1) << shift;
     *reg = (*reg & ~mask) | ((value << shift) & mask);
   }
+  return true;
 }
 
 void Mailbox::ring_doorbell() {

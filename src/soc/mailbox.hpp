@@ -64,7 +64,7 @@ class Mailbox final : public BusTarget {
 
   // ---- BusTarget (MMIO view, used by Ibex firmware / CVA6) -----------------
   std::uint64_t read(Addr addr, unsigned size) override;
-  void write(Addr addr, unsigned size, std::uint64_t value) override;
+  bool write(Addr addr, unsigned size, std::uint64_t value) override;
 
   // ---- Direct port view (used by the hardware-side CFI Log Writer) ---------
   [[nodiscard]] std::uint64_t data(unsigned index) const { return data_.at(index); }

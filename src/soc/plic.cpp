@@ -6,12 +6,14 @@ void Plic::raise(unsigned source) {
   if (source > 0 && source < pending_.size()) {
     pending_[source] = true;
   }
+  update();
 }
 
 void Plic::lower(unsigned source) {
   if (source > 0 && source < pending_.size()) {
     pending_[source] = false;
   }
+  update();
 }
 
 unsigned Plic::pending_source() const {
@@ -29,6 +31,7 @@ unsigned Plic::claim() {
     in_service_[source] = true;
     pending_[source] = false;
     ++claims_;
+    update();
   }
   return source;
 }
@@ -37,12 +40,14 @@ void Plic::complete(unsigned source) {
   if (source > 0 && source < in_service_.size()) {
     in_service_[source] = false;
   }
+  update();
 }
 
 void Plic::enable(unsigned source, bool on) {
   if (source > 0 && source < enabled_.size()) {
     enabled_[source] = on;
   }
+  update();
 }
 
 std::uint64_t Plic::read(Addr addr, unsigned size) {
@@ -73,13 +78,14 @@ std::uint64_t Plic::read(Addr addr, unsigned size) {
   }
 }
 
-void Plic::write(Addr addr, unsigned size, std::uint64_t value) {
+bool Plic::write(Addr addr, unsigned size, std::uint64_t value) {
   (void)size;
   switch (addr & 0xFF) {
     case kEnableOffset:
       for (unsigned source = 1; source < enabled_.size() && source < 64; ++source) {
         enabled_[source] = ((value >> source) & 1) != 0;
       }
+      update();
       break;
     case kClaimOffset:
       complete(static_cast<unsigned>(value));
@@ -87,6 +93,7 @@ void Plic::write(Addr addr, unsigned size, std::uint64_t value) {
     default:
       break;
   }
+  return true;
 }
 
 }  // namespace titan::soc

@@ -31,8 +31,10 @@ class Plic final : public BusTarget {
 
   /// Highest-priority (lowest id) pending+enabled source, or 0.
   [[nodiscard]] unsigned pending_source() const;
-  /// True when any enabled source is pending and not already in service.
-  [[nodiscard]] bool irq_asserted() const { return pending_source() != 0; }
+  /// True when any enabled source is pending and not already in service
+  /// (pending_source() != 0, kept current by every state change so the RoT
+  /// run loop reads a flag instead of scanning the sources).
+  [[nodiscard]] bool irq_asserted() const { return asserted_; }
 
   unsigned claim();
   void complete(unsigned source);
@@ -40,7 +42,7 @@ class Plic final : public BusTarget {
 
   // ---- BusTarget ------------------------------------------------------------
   std::uint64_t read(Addr addr, unsigned size) override;
-  void write(Addr addr, unsigned size, std::uint64_t value) override;
+  bool write(Addr addr, unsigned size, std::uint64_t value) override;
 
   [[nodiscard]] std::uint64_t claims() const { return claims_; }
 
@@ -65,13 +67,17 @@ class Plic final : public BusTarget {
       in_service_[i] = reader.boolean();
     }
     claims_ = reader.u64();
+    update();
   }
 
  private:
+  void update() { asserted_ = pending_source() != 0; }
+
   std::vector<bool> pending_;
   std::vector<bool> enabled_;
   std::vector<bool> in_service_;
   std::uint64_t claims_ = 0;
+  bool asserted_ = false;
 };
 
 }  // namespace titan::soc

@@ -1,6 +1,7 @@
 #include "titancfi/rot_subsystem.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace titan::cfi {
 
@@ -20,15 +21,15 @@ std::uint32_t sram_latency(RotFabric fabric) {
 
 }  // namespace
 
-RotSubsystem::RotSubsystem(const rv::Image& firmware, RotFabric fabric,
-                           soc::Mailbox& mailbox, sim::Memory& soc_memory)
-    : firmware_(firmware),
+RotSubsystem::RotSubsystem(std::shared_ptr<const ibex::FirmwareRom> firmware,
+                           RotFabric fabric, soc::Mailbox& mailbox,
+                           sim::Memory& soc_memory)
+    : rom_(std::move(firmware)),
       mailbox_(mailbox),
+      rom_target_(rom_->image().base, rom_->image().bytes),
       soc_mem_target_(soc_memory),
       tlul_("tlul", hop_latency(fabric)) {
-  rom_.load(firmware.base, firmware.bytes);
-
-  // RoT-private devices.
+  // RoT-private devices.  The ROM is read-only: a store is a bus error.
   tlul_.map(soc::kRotFlash, rom_target_, 0, "rom");
   tlul_.map(soc::kRotSram, sram_target_, sram_latency(fabric), "sram");
   tlul_.map(kRotPlic, plic_, sram_latency(fabric), "plic");
@@ -38,9 +39,9 @@ RotSubsystem::RotSubsystem(const rv::Image& firmware, RotFabric fabric,
   tlul_.map(soc::kDram, soc_mem_target_, bridge_latency(fabric), "bridge-dram");
 
   ibex::IbexConfig config;
-  config.reset_pc = static_cast<std::uint32_t>(firmware.base);
+  config.reset_pc = rom_->base();
   config.reset_sp = static_cast<std::uint32_t>(soc::kRotSram.end() - 16);
-  core_ = std::make_unique<ibex::IbexCore>(config, tlul_);
+  core_ = std::make_unique<ibex::IbexCore>(config, tlul_, rom_.get());
 
   // The HMAC accelerator needs the Ibex clock for its STATUS timing.
   hmac_ = std::make_unique<soc::HmacMmio>(tlul_, kRotDeviceSecret,
@@ -49,38 +50,27 @@ RotSubsystem::RotSubsystem(const rv::Image& firmware, RotFabric fabric,
 
   plic_.enable(kCfiDoorbellIrq);
   mailbox_.set_on_doorbell([this] { plic_.raise(kCfiDoorbellIrq); });
-
-  // Sorted section table for section_of(): std::map iterates marks in name
-  // order and "address <= pc, address >= best-so-far" lets a later map entry
-  // win address ties, so sorting by (address, name) and taking the last
-  // entry <= pc reproduces the scan exactly.
-  sections_.reserve(firmware_.marks.size());
-  for (const auto& [name, addr] : firmware_.marks) {
-    sections_.emplace_back(addr, name);
-  }
-  std::sort(sections_.begin(), sections_.end());
-}
-
-ibex::IbexStep RotSubsystem::step() {
-  core_->set_irq_line(plic_.irq_asserted());
-  return core_->step();
 }
 
 std::optional<sim::Cycle> RotSubsystem::run_until(sim::Cycle target,
                                                   bool stop_on_completion) {
-  while (core_->cycle() < target && !core_->halted()) {
-    if (core_->cycle() < stall_until_) {
-      // Injected stall window: the clock ticks, the pipeline is frozen.
-      core_->advance_clock(std::min(target, stall_until_) - core_->cycle());
-      continue;
-    }
-    core_->set_irq_line(plic_.irq_asserted());
-    if (core_->sleeping() && !plic_.irq_asserted()) {
-      core_->advance_clock(target - core_->cycle());
+  ibex::IbexCore& core = *core_;
+  if (!core.halted() && core.cycle() < std::min(target, stall_until_)) {
+    // Injected stall window: the clock ticks, the pipeline is frozen.
+    core.advance_clock(std::min(target, stall_until_) - core.cycle());
+  }
+  // The PLIC, the sleep state and the mailbox change only in a step that
+  // ends IbexCore::run, so they are re-read after those steps alone.  A
+  // completion already pending ends the window after the first step.
+  const bool single = stop_on_completion && mailbox_.completion_pending();
+  while (core.cycle() < target && !core.halted()) {
+    const bool irq = plic_.irq_asserted();
+    core.set_irq_line(irq);
+    if (core.sleeping() && !irq) {
+      core.advance_clock(target - core.cycle());
       break;
     }
-    const sim::Cycle started = core_->cycle();
-    core_->step();
+    const sim::Cycle started = core.run(single ? core.cycle() + 1 : target);
     if (stop_on_completion && mailbox_.completion_pending()) {
       return started;
     }
@@ -88,9 +78,13 @@ std::optional<sim::Cycle> RotSubsystem::run_until(sim::Cycle target,
   return std::nullopt;
 }
 
+ibex::IbexStep RotSubsystem::step() {
+  core_->set_irq_line(plic_.irq_asserted());
+  return core_->step();
+}
+
 void RotSubsystem::capture(sim::Snapshot& snapshot,
                            sim::SnapshotWriter& writer) const {
-  snapshot.memories.push_back(rom_.capture());
   snapshot.memories.push_back(sram_.capture());
   writer.tag(0x524F5453);  // "ROTS"
   core_->save_state(writer);
@@ -104,8 +98,7 @@ void RotSubsystem::capture(sim::Snapshot& snapshot,
 void RotSubsystem::restore(const sim::Snapshot& snapshot,
                            std::size_t memory_base,
                            sim::SnapshotReader& reader) {
-  rom_.restore(snapshot.memories.at(memory_base));
-  sram_.restore(snapshot.memories.at(memory_base + 1));
+  sram_.restore(snapshot.memories.at(memory_base));
   reader.expect_tag(0x524F5453, "rot subsystem");
   core_->load_state(reader);
   plic_.load_state(reader);
@@ -113,18 +106,6 @@ void RotSubsystem::restore(const sim::Snapshot& snapshot,
   hmac_->load_state(reader);
   stall_until_ = reader.u64();
   stalled_cycles_ = reader.u64();
-}
-
-std::string RotSubsystem::section_of(std::uint32_t pc) const {
-  // Marks partition the image: the section owning `pc` is the mark with the
-  // greatest address <= pc (binary search over the construction-time table).
-  const auto it = std::upper_bound(
-      sections_.begin(), sections_.end(), std::uint64_t{pc},
-      [](std::uint64_t value, const auto& entry) { return value < entry.first; });
-  if (it == sections_.begin()) {
-    return "init";
-  }
-  return std::prev(it)->second;
 }
 
 }  // namespace titan::cfi

@@ -11,10 +11,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "ibex/core.hpp"
+#include "ibex/rom.hpp"
 #include "rv/assembler.hpp"
 #include "sim/memory.hpp"
 #include "sim/snapshot.hpp"
@@ -45,10 +44,13 @@ inline constexpr std::uint32_t kBatchMacKeySlot = 1;
 
 class RotSubsystem {
  public:
-  /// `mailbox`: the CFI mailbox (lives in the host domain; reached through
-  /// the TL2AXI bridge).  `soc_memory`: host DRAM (spill arena lives there).
-  RotSubsystem(const rv::Image& firmware, RotFabric fabric,
-               soc::Mailbox& mailbox, sim::Memory& soc_memory);
+  /// `firmware`: the ROM image, shared read-only with every other SoC built
+  /// from it.  `mailbox`: the CFI mailbox (lives in the host domain; reached
+  /// through the TL2AXI bridge).  `soc_memory`: host DRAM (spill arena lives
+  /// there).
+  RotSubsystem(std::shared_ptr<const ibex::FirmwareRom> firmware,
+               RotFabric fabric, soc::Mailbox& mailbox,
+               sim::Memory& soc_memory);
 
   /// Step the Ibex core once; returns the step record.
   ibex::IbexStep step();
@@ -75,34 +77,29 @@ class RotSubsystem {
   [[nodiscard]] soc::Crossbar& fabric() { return tlul_; }
   [[nodiscard]] const soc::HmacMmio& hmac() const { return *hmac_; }
   [[nodiscard]] sim::Memory& sram() { return sram_; }
-  [[nodiscard]] const rv::Image& firmware() const { return firmware_; }
+  [[nodiscard]] const rv::Image& firmware() const { return rom_->image(); }
 
-  /// Classify a PC against the firmware section marks ("irq" / "cfi" /
-  /// "init" / "poll") — used for Table I attribution.  O(log n) over a
-  /// sorted mark table built at construction (this runs once per attributed
-  /// Ibex step in the Table I benches).
-  [[nodiscard]] std::string section_of(std::uint32_t pc) const;
+  /// Firmware section of a PC (see ibex::FirmwareRom::section_of); Table I
+  /// attribution.
+  [[nodiscard]] std::string section_of(std::uint32_t pc) const {
+    return rom_->section_of(pc);
+  }
 
-  /// Checkpoint support.  ROM and SRAM are captured as CoW memory images;
-  /// everything else (core, PLIC, fabric counter, HMAC block, stall window)
-  /// rides the flat state stream.  The firmware image and section table are
-  /// config-derived and not serialized.
+  /// Checkpoint support.  SRAM is captured as a CoW memory image; everything
+  /// else (core, PLIC, fabric counter, HMAC block, stall window) rides the
+  /// flat state stream.  The ROM is config-derived and read-only, so it is
+  /// not serialized.
   void capture(sim::Snapshot& snapshot, sim::SnapshotWriter& writer) const;
   void restore(const sim::Snapshot& snapshot, std::size_t memory_base,
                sim::SnapshotReader& reader);
-  /// Memory images this subsystem appends to a snapshot (ROM, SRAM).
-  static constexpr std::size_t kMemoryImages = 2;
+  /// Memory images this subsystem appends to a snapshot (SRAM).
+  static constexpr std::size_t kMemoryImages = 1;
 
  private:
-  rv::Image firmware_;
+  std::shared_ptr<const ibex::FirmwareRom> rom_;
   soc::Mailbox& mailbox_;
-  /// firmware_.marks flattened and sorted by (address, name): the section
-  /// owning a PC is the last entry with address <= pc, which reproduces the
-  /// seed linear scan's "greatest address, later map entry wins ties" rule.
-  std::vector<std::pair<std::uint64_t, std::string>> sections_;
-  sim::Memory rom_;
   sim::Memory sram_;
-  soc::MemoryTarget rom_target_{rom_};
+  soc::RomTarget rom_target_;
   soc::MemoryTarget sram_target_{sram_};
   soc::MemoryTarget soc_mem_target_;
   soc::Plic plic_{4};

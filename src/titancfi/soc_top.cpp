@@ -8,15 +8,16 @@
 namespace titan::cfi {
 
 SocTop::SocTop(const SocConfig& config, const rv::Image& host_program,
-               const rv::Image& firmware)
+               std::shared_ptr<const ibex::FirmwareRom> firmware)
     : config_(config), queue_controller_(config.queue_depth) {
+  const auto& marks = firmware->image().marks;
   // The drain protocol is a contract between the Log Writer and the
   // firmware; a skew (burst writer + single-log firmware, or MAC on one
   // side only) would silently disable or falsely trip CFI checking, so
   // fail construction instead.  Batched images carry "batch"/"batch_mac"
   // marks (see fw::build_firmware).
-  const bool fw_batched = firmware.marks.contains("batch");
-  const bool fw_mac = firmware.marks.contains("batch_mac");
+  const bool fw_batched = marks.contains("batch");
+  const bool fw_mac = marks.contains("batch_mac");
   const bool want_batched = config.drain_burst > 1;
   const bool want_mac = want_batched && config.mac_batches;
   if (fw_batched != want_batched) {
@@ -33,14 +34,14 @@ SocTop::SocTop(const SocConfig& config, const rv::Image& host_program,
   // stale batch on every retried doorbell (corrupting the shadow stack),
   // and a mac_rerequest mismatch turns every retransmission request into a
   // violation (or vice versa).
-  if (firmware.marks.contains("retry_handshake") !=
+  if (marks.contains("retry_handshake") !=
       (config.doorbell_timeout > 0)) {
     throw std::invalid_argument(
         "SocTop: doorbell_timeout and firmware retry_handshake disagree "
         "(the watchdog retry protocol needs the idempotent BATCH_COUNT "
         "handshake on both sides)");
   }
-  if (firmware.marks.contains("mac_rerequest") != config.mac_rerequest) {
+  if (marks.contains("mac_rerequest") != config.mac_rerequest) {
     throw std::invalid_argument(
         "SocTop: mac_rerequest and firmware mac_rerequest disagree");
   }
@@ -59,8 +60,8 @@ SocTop::SocTop(const SocConfig& config, const rv::Image& host_program,
     host_core_->set_pmp(&pmp_);
   }
 
-  rot_ = std::make_unique<RotSubsystem>(firmware, config.fabric, mailbox_,
-                                        host_memory_);
+  rot_ = std::make_unique<RotSubsystem>(std::move(firmware), config.fabric,
+                                        mailbox_, host_memory_);
   if (!config.jump_table.empty()) {
     // Provision the forward-edge policy's target table into RoT SRAM before
     // boot ([count][targets...], 32-bit words).  The firmware treats an

@@ -138,9 +138,10 @@ struct SocRunResult {
 class SocTop {
  public:
   /// `host_program`: RV64 image loaded into host memory; execution starts at
-  /// its base.  `firmware`: RV32 image for the RoT (see firmware::Builder).
+  /// its base.  `firmware`: the RoT ROM (see ibex::FirmwareRom), shared
+  /// read-only with every other SoC built from it.
   SocTop(const SocConfig& config, const rv::Image& host_program,
-         const rv::Image& firmware);
+         std::shared_ptr<const ibex::FirmwareRom> firmware);
 
   /// Run to completion (host ECALL), CFI fault, or the cycle guard, using
   /// the configured engine (bit-identical results either way).
@@ -190,7 +191,7 @@ class SocTop {
   [[nodiscard]] bool stalled_on_rot(sim::Cycle cycle) const;
 
   /// Freeze the full deterministic SoC state at loop-top cycle `cycle`:
-  /// host DRAM / RoT ROM / RoT SRAM as CoW memory images plus the flat
+  /// host DRAM and RoT SRAM as CoW memory images plus the flat
   /// component stream (host core, queue controller, log writer, mailbox,
   /// AXI fabric, fault injector, RoT subsystem).  host_now_ is dead at every
   /// loop-top boundary (reassigned before any use in step_cycle and

@@ -29,7 +29,8 @@ RunCapture run_burst(unsigned burst, const rv::Image& program,
   config.queue_depth = queue_depth;
   config.drain_burst = burst;
   config.mac_batches = mac;
-  SocTop soc(config, program, fw::build_firmware(fw_config));
+  SocTop soc(config, program,
+             ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
   RunCapture capture;
   soc.log_writer().set_log_capture(
       [&capture](const CommitLog& log) { capture.stream.push_back(log); });
@@ -150,7 +151,7 @@ TEST(BatchedDrain, ConfigSkewIsRejectedAtConstruction) {
     fw::FirmwareConfig fw_config;
     fw_config.batch_capacity = capacity;
     fw_config.batch_mac = mac;
-    return fw::build_firmware(fw_config);
+    return ibex::FirmwareRom::build(fw::build_firmware(fw_config));
   };
   const auto soc_config = [](unsigned burst, bool mac) {
     SocConfig config;
@@ -184,7 +185,8 @@ TEST(BatchedDrain, TamperedBatchMacFlagsViolation) {
   fw_config.variant = fw::FwVariant::kPolling;
   fw_config.batch_capacity = 8;
   fw_config.batch_mac = true;
-  RotSubsystem rot(fw::build_firmware(fw_config), RotFabric::kBaseline,
+  RotSubsystem rot(ibex::FirmwareRom::build(fw::build_firmware(fw_config)),
+                   RotFabric::kBaseline,
                    mailbox, soc_memory);
   for (int guard = 0; guard < 10000; ++guard) {
     if (rot.section_of(rot.core().pc()) == "main") {

@@ -25,7 +25,8 @@ struct JtHarness {
     config.variant = FwVariant::kPolling;
     config.enable_jump_table = true;
     rot = std::make_unique<cfi::RotSubsystem>(
-        build_firmware(config), cfi::RotFabric::kBaseline, mailbox, soc_memory);
+        ibex::FirmwareRom::build(build_firmware(config)),
+        cfi::RotFabric::kBaseline, mailbox, soc_memory);
     for (int i = 0; i < 10000; ++i) {
       if (rot->section_of(rot->core().pc()) == "main") {
         break;
@@ -130,7 +131,7 @@ TEST(FirmwareJumpTable, CoSimCatchesCorruptedFunctionPointer) {
   FirmwareConfig fw_config;
   fw_config.variant = FwVariant::kPolling;
   fw_config.enable_jump_table = true;
-  const rv::Image firmware = build_firmware(fw_config);
+  const auto firmware = ibex::FirmwareRom::build(build_firmware(fw_config));
 
   // Discover the legitimate handler addresses from a bare run.
   std::vector<std::uint32_t> handlers;

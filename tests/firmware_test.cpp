@@ -33,7 +33,8 @@ struct RotHarness {
     config.variant = fw_variant;
     config.ss_capacity = capacity;
     config.spill_block = block;
-    rot = std::make_unique<cfi::RotSubsystem>(build_firmware(config), fabric,
+    rot = std::make_unique<cfi::RotSubsystem>(
+        ibex::FirmwareRom::build(build_firmware(config)), fabric,
                                               mailbox, soc_memory);
     for (int i = 0; i < 10000 && !idle(); ++i) {
       rot->step();

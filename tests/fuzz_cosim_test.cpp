@@ -52,7 +52,8 @@ TEST_P(CosimFuzzTest, CleanProgramsHaveNoFalsePositives) {
   fw_config.variant = fuzz.variant;
   SocConfig config;
   config.queue_depth = fuzz.queue_depth;
-  SocTop soc(config, program, fw::build_firmware(fw_config));
+  SocTop soc(config, program,
+             ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
   const SocRunResult result = soc.run();
   EXPECT_FALSE(result.cfi_fault);
   EXPECT_EQ(result.violations, 0u);
@@ -75,7 +76,8 @@ TEST_P(CosimFuzzTest, InjectedRopIsAlwaysCaught) {
   fw_config.variant = fuzz.variant;
   SocConfig config;
   config.queue_depth = fuzz.queue_depth;
-  SocTop soc(config, program, fw::build_firmware(fw_config));
+  SocTop soc(config, program,
+             ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
   const SocRunResult result = soc.run();
   EXPECT_TRUE(result.cfi_fault) << "seed " << fuzz.seed;
   EXPECT_EQ(result.fault_log.classify(), rv::CfKind::kReturn);

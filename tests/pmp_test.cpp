@@ -70,9 +70,9 @@ rv::Image mailbox_tamper_program(bool read_only) {
   return a.finish();
 }
 
-rv::Image firmware() {
+std::shared_ptr<const ibex::FirmwareRom> firmware() {
   fw::FirmwareConfig config;
-  return fw::build_firmware(config);
+  return ibex::FirmwareRom::build(fw::build_firmware(config));
 }
 
 TEST(PmpIntegration, GuestCannotWriteCfiMailbox) {

@@ -132,7 +132,7 @@ TEST(Scenario, RunMatchesRawConstructionPath) {
   soc_config.drain_burst = 4;
   soc_config.mac_batches = false;
   cfi::SocTop soc(soc_config, workloads::fib_recursive(6),
-                  fw::build_firmware(fw_config));
+                  ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
   const cfi::SocRunResult raw = soc.run();
 
   EXPECT_EQ(report.cycles, static_cast<std::uint64_t>(raw.cycles));

@@ -647,7 +647,7 @@ TEST(ServeDeadline, DeadlineZeroIsDeterministicAndMidRunDeadlineCancels) {
   // A mid-run deadline stops a long run cooperatively, reporting the
   // cycles completed so far.
   client.send_text(spec_run_request(
-      "mid", spec_scaffold("deadline/mid", "fib(24)"), 250, 0));
+      "mid", spec_scaffold("deadline/mid", "fib(26)"), 250, 0));
   const sim::JsonValue mid = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(mid.find("ok")->as_bool());
   EXPECT_EQ(mid.find("error")->find("code")->as_string(),

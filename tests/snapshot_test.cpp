@@ -145,6 +145,17 @@ TEST(SnapshotBlobTest, RejectsBadMagicAndVersion) {
   std::vector<std::uint8_t> old_version = snapshot->to_blob();
   old_version[4] = 0x01;
   EXPECT_THROW((void)Snapshot::from_blob(old_version), SnapshotError);
+
+  // Version 2 blobs carried the RoT ROM image and the Ibex decode cache;
+  // they are refused with the version message.
+  std::vector<std::uint8_t> rom_version = snapshot->to_blob();
+  rom_version[4] = 0x02;
+  try {
+    (void)Snapshot::from_blob(rom_version);
+    ADD_FAILURE() << "version 2 blob accepted";
+  } catch (const SnapshotError& error) {
+    EXPECT_STREQ(error.what(), "snapshot: unsupported format version 2");
+  }
 }
 
 TEST(SnapshotBlobTest, RejectsPayloadCorruption) {

@@ -57,7 +57,7 @@ TEST(Crossbar, LatencyIsHopPlusDevice) {
 TEST(Crossbar, DecodeErrorOnUnmapped) {
   Crossbar xbar("axi", 2);
   const BusResponse response = xbar.read(0xDEAD0000, 8);
-  EXPECT_TRUE(response.decode_error);
+  EXPECT_TRUE(response.error);
 }
 
 TEST(Crossbar, RejectsOverlappingRegions) {

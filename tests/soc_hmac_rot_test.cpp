@@ -115,7 +115,8 @@ struct RotFixture {
 
   explicit RotFixture(RotFabric fabric = RotFabric::kBaseline) {
     fw::FirmwareConfig config;
-    rot = std::make_unique<RotSubsystem>(fw::build_firmware(config), fabric,
+    rot = std::make_unique<RotSubsystem>(
+        ibex::FirmwareRom::build(fw::build_firmware(config)), fabric,
                                          mailbox, soc_memory);
   }
 };

@@ -19,18 +19,18 @@ SocConfig make_config(std::size_t queue_depth = 8,
   return config;
 }
 
-rv::Image default_firmware() {
+std::shared_ptr<const ibex::FirmwareRom> default_firmware() {
   fw::FirmwareConfig config;
   config.variant = fw::FwVariant::kIrq;
-  return fw::build_firmware(config);
+  return ibex::FirmwareRom::build(fw::build_firmware(config));
 }
 
 class SocVariantTest : public ::testing::TestWithParam<fw::FwVariant> {
  protected:
-  rv::Image firmware() const {
+  std::shared_ptr<const ibex::FirmwareRom> firmware() const {
     fw::FirmwareConfig config;
     config.variant = GetParam();
-    return fw::build_firmware(config);
+    return ibex::FirmwareRom::build(fw::build_firmware(config));
   }
 };
 
@@ -103,7 +103,7 @@ TEST(SocTop, OptimizedFabricIsFaster) {
     fw::FirmwareConfig fw_config;
     fw_config.variant = fw::FwVariant::kPolling;
     SocTop soc(make_config(4, fabric), workloads::fib_recursive(9),
-               fw::build_firmware(fw_config));
+               ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
     return soc.run();
   };
   const SocRunResult baseline = run_fabric(RotFabric::kBaseline);
@@ -146,7 +146,8 @@ TEST(SocTop, TraceModelMatchesCoSimulation) {
   fw::FirmwareConfig fw_config;
   fw_config.variant = fw::FwVariant::kPolling;
   SocConfig soc_config = make_config(8);
-  SocTop soc(soc_config, program, fw::build_firmware(fw_config));
+  SocTop soc(soc_config, program,
+             ibex::FirmwareRom::build(fw::build_firmware(fw_config)));
   const SocRunResult cosim = soc.run();
   const double cosim_slowdown =
       100.0 * (static_cast<double>(cosim.cycles) - baseline_cycles) /
