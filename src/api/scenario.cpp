@@ -505,7 +505,7 @@ Scenario ScenarioBuilder::build() const {
   // builder field configures both the Log Writer and the firmware generator.
   scenario.fw_.retry_handshake = doorbell_timeout_ > 0;
   scenario.fw_.mac_rerequest = mac_rerequest_;
-  scenario.rom_ = ibex::FirmwareRom::build(fw::build_firmware(scenario.fw_));
+  scenario.rom_ = fw::shared_rom(scenario.fw_);
   scenario.warm_start_ = warm_start_;
   return scenario;
 }

@@ -18,31 +18,14 @@ std::uint64_t sext32(std::uint32_t value) {
 }  // namespace
 
 Cva6Core::Cva6Core(const Cva6Config& config, sim::Memory& memory)
-    : config_(config), memory_(memory), pc_(config.reset_pc) {
+    : config_(config), memory_(memory), pc_(config.reset_pc),
+      latency_{1, config.load_cycles, config.store_cycles, config.mul_cycles,
+               config.div_cycles} {
   if (config_.rob_depth == 0) {
     throw std::invalid_argument("Cva6Core: rob_depth must be >= 1");
   }
   regs_[2] = config.reset_sp;
-  rob_.resize(config_.rob_depth);
-}
-
-std::uint32_t Cva6Core::latency_of(const rv::Inst& inst) const {
-  using rv::Op;
-  switch (inst.op) {
-    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu:
-    case Op::kLhu: case Op::kLwu: case Op::kLd:
-      return config_.load_cycles;
-    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
-      return config_.store_cycles;
-    case Op::kMul: case Op::kMulh: case Op::kMulhsu: case Op::kMulhu:
-    case Op::kMulw:
-      return config_.mul_cycles;
-    case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu:
-    case Op::kDivw: case Op::kDivuw: case Op::kRemw: case Op::kRemuw:
-      return config_.div_cycles;
-    default:
-      return 1;
-  }
+  rob_ = std::make_unique<RobEntry[]>(config_.rob_depth);
 }
 
 void Cva6Core::issue_one() {
@@ -56,15 +39,14 @@ void Cva6Core::issue_one() {
   // One instruction-lane page probe yields the whole fetch window; the
   // decode cache skips rv::decode whenever the window's encoding matches.
   const std::uint32_t window = fetch_window(pc_);
-  rv::Inst uncached;
-  const rv::Inst* decoded;
+  const sim::DecodeCache::Entry* decoded;
   if (decode_cache_enabled_) {
     decoded = &decode_cache_.decode(pc_, window);
   } else {
-    uncached = rv::decode(window, rv::Xlen::k64);
-    decoded = &uncached;
+    uncached_.fill(window, rv::Xlen::k64);
+    decoded = &uncached_;
   }
-  const rv::Inst& inst = *decoded;
+  const rv::Inst& inst = decoded->inst;
 
   // Construct the entry in place in its ring slot (issue order == slot
   // order; the caller guarantees a free slot).
@@ -73,12 +55,13 @@ void Cva6Core::issue_one() {
   entry.pc = pc_;
   entry.inst = inst;
   entry.next_pc = pc_ + inst.len;
-  entry.kind = rv::classify(inst);
+  entry.kind = decoded->kind;
 
   execute(inst, entry);
   ++instret_;
 
-  std::uint32_t latency = latency_of(inst);
+  std::uint32_t latency =
+      latency_[static_cast<std::size_t>(decoded->latency)];
   if (entry.kind != rv::CfKind::kNone && entry.target != entry.next_pc) {
     latency += config_.taken_cf_penalty;
   }
@@ -93,17 +76,6 @@ void Cva6Core::issue_one() {
     ++rob_cfi_count_;
   }
   ++rob_size_;
-}
-
-std::uint32_t Cva6Core::fetch_window(std::uint64_t pc) {
-  std::uint32_t window;
-  if (fetch_cache_.lookup(pc, &window) ||
-      fetch_cache_.refill(memory_, pc, &window)) [[likely]] {
-    return window;
-  }
-  // Page straddle, unmapped page, or seed-mode memory: the full probe also
-  // handles strict-mode accounting.
-  return memory_.fetch32(pc);
 }
 
 void Cva6Core::execute(const rv::Inst& inst, ScoreboardEntry& entry) {
@@ -449,12 +421,9 @@ void Cva6Core::save_state(sim::SnapshotWriter& writer) const {
   writer.u64(instret_);
   writer.u64(rob_size_);
   for (std::size_t index = 0; index < rob_size_; ++index) {
-    std::size_t slot = rob_head_ + index;
-    if (slot >= rob_.size()) {
-      slot -= rob_.size();
-    }
-    save_entry(writer, rob_[slot].entry);
-    writer.u64(rob_[slot].ready);
+    const RobEntry& rob_entry = rob_[(rob_head_ + index) % config_.rob_depth];
+    save_entry(writer, rob_entry.entry);
+    writer.u64(rob_entry.ready);
   }
   writer.u64(stall_cycles_);
   writer.boolean(trace_enabled_);
@@ -479,7 +448,7 @@ void Cva6Core::load_state(sim::SnapshotReader& reader) {
   issue_ready_ = reader.u64();
   instret_ = reader.u64();
   const std::uint64_t rob_count = reader.u64();
-  if (rob_count > rob_.size()) {
+  if (rob_count > config_.rob_depth) {
     throw sim::SnapshotError("cva6: snapshot ROB exceeds configured depth");
   }
   rob_head_ = 0;

@@ -13,6 +13,7 @@
 //     paper's "inhibit the commit stage" stall mechanism (Sec. IV-B2).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,8 @@ struct Cva6Config {
 class Cva6Core {
  public:
   Cva6Core(const Cva6Config& config, sim::Memory& memory);
+  Cva6Core(const Cva6Core&) = delete;
+  Cva6Core& operator=(const Cva6Core&) = delete;
 
   // ---- Per-cycle co-simulation interface -----------------------------------
 
@@ -166,16 +169,17 @@ class Cva6Core {
   // The ROB is a fixed-capacity ring (hardware-faithful: rob_depth slots,
   // in-order alloc/retire), which keeps the per-instruction hot path free of
   // deque block management and entry copies — issue_one() constructs each
-  // entry in place in its slot.
+  // entry in place in its slot.  Wrapping compares against the configured
+  // depth, not a container size, so a probe costs one add and one compare.
   [[nodiscard]] RobEntry& rob_at(std::size_t index) {
     std::size_t slot = rob_head_ + index;
-    if (slot >= rob_.size()) {
-      slot -= rob_.size();
+    if (slot >= config_.rob_depth) {
+      slot -= config_.rob_depth;
     }
     return rob_[slot];
   }
   void rob_pop_front() {
-    if (++rob_head_ >= rob_.size()) {
+    if (++rob_head_ >= config_.rob_depth) {
       rob_head_ = 0;
     }
     --rob_size_;
@@ -184,8 +188,18 @@ class Cva6Core {
   /// Functionally execute the next instruction and append it to the ROB.
   void issue_one();
   void execute(const rv::Inst& inst, ScoreboardEntry& entry);
-  [[nodiscard]] std::uint32_t latency_of(const rv::Inst& inst) const;
-  [[nodiscard]] std::uint32_t fetch_window(std::uint64_t pc);
+  /// The 4-byte fetch window at `pc`: one probe of the hoisted page on a
+  /// hit, the full memory path otherwise.
+  [[nodiscard]] std::uint32_t fetch_window(std::uint64_t pc) {
+    std::uint32_t window;
+    if (fetch_cache_.lookup(pc, &window) ||
+        fetch_cache_.refill(memory_, pc, &window)) [[likely]] {
+      return window;
+    }
+    // Page straddle, unmapped page, or seed-mode memory: the full probe also
+    // handles strict-mode accounting.
+    return memory_.fetch32(pc);
+  }
   void record_commit(const ScoreboardEntry& entry);
 
   Cva6Config config_;
@@ -202,7 +216,10 @@ class Cva6Core {
   Cycle cycle_ = 0;
   Cycle issue_ready_ = 0;  ///< Next cycle the issue stage may accept work.
   std::uint64_t instret_ = 0;
-  std::vector<RobEntry> rob_;      ///< Ring storage, rob_depth slots.
+  /// Execute cycles indexed by sim::LatencyClass (ALU, load, store, mul,
+  /// div), from the config.
+  std::uint32_t latency_[sim::kLatencyClasses];
+  std::unique_ptr<RobEntry[]> rob_;  ///< Ring storage, rob_depth slots.
   std::size_t rob_head_ = 0;       ///< Slot of the oldest live entry.
   std::size_t rob_size_ = 0;       ///< Live entries.
   std::size_t rob_cfi_count_ = 0;  ///< CFI-relevant entries currently live.
@@ -212,6 +229,9 @@ class Cva6Core {
   std::uint64_t stall_cycles_ = 0;
   sim::DecodeCache decode_cache_{rv::Xlen::k64};
   bool decode_cache_enabled_ = true;
+  /// The decode of the reference path (cache disabled), in a member so the
+  /// cached path pays nothing for it.
+  sim::DecodeCache::Entry uncached_;
   /// Hoisted fetch-page probe (see sim::FetchPageCache).
   sim::FetchPageCache fetch_cache_;
 };

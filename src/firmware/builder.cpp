@@ -1,7 +1,10 @@
 #include "firmware/builder.hpp"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
+#include "ibex/rom.hpp"
 #include "rv/isa.hpp"
 #include "soc/hmac_mmio.hpp"
 #include "soc/mailbox.hpp"
@@ -605,6 +608,25 @@ rv::Image build_firmware(const FirmwareConfig& config) {
   a.mark("end");
 
   return a.finish();
+}
+
+std::shared_ptr<const ibex::FirmwareRom> shared_rom(
+    const FirmwareConfig& config) {
+  static std::mutex mutex;
+  // Leaked on purpose: no exit-time destructor runs while another thread may
+  // still ask for a ROM.
+  static auto& roms =
+      *new std::map<FirmwareConfig, std::weak_ptr<const ibex::FirmwareRom>>;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (auto rom = roms[config].lock()) {
+    return rom;
+  }
+  // A miss: drop the entries no one holds any more, so wire specs with ever
+  // new configs cannot grow the map beyond the ROMs alive.
+  std::erase_if(roms, [](const auto& entry) { return entry.second.expired(); });
+  auto rom = ibex::FirmwareRom::build(build_firmware(config));
+  roms[config] = rom;
+  return rom;
 }
 
 }  // namespace titan::fw

@@ -24,7 +24,14 @@
 //   "irq_exit" — ISR epilogue (PLIC complete, restore, MRET).
 #pragma once
 
+#include <compare>
+#include <memory>
+
 #include "rv/assembler.hpp"
+
+namespace titan::ibex {
+class FirmwareRom;
+}  // namespace titan::ibex
 
 namespace titan::fw {
 
@@ -65,6 +72,8 @@ struct FirmwareConfig {
   /// blame-slot-0 violation, asking the Log Writer to retransmit the batch.
   /// Requires batch_mac; cross-checked against SocConfig::mac_rerequest.
   bool mac_rerequest = false;
+
+  auto operator<=>(const FirmwareConfig&) const = default;
 };
 
 /// Firmware data layout in the RoT private SRAM.
@@ -80,5 +89,10 @@ struct FwLayout {
 };
 
 [[nodiscard]] rv::Image build_firmware(const FirmwareConfig& config);
+
+/// The ROM of build_firmware(config), built once per distinct config and
+/// shared process-wide while any holder keeps it alive (thread-safe).
+[[nodiscard]] std::shared_ptr<const ibex::FirmwareRom> shared_rom(
+    const FirmwareConfig& config);
 
 }  // namespace titan::fw

@@ -28,7 +28,7 @@ struct Bench {
                             ? cfi::RotFabric::kOptimized
                             : cfi::RotFabric::kBaseline;
     rot = std::make_unique<cfi::RotSubsystem>(
-        ibex::FirmwareRom::build(build_firmware(config)), fabric, mailbox,
+        shared_rom(config), fabric, mailbox,
         soc_memory);
     // Run init until the firmware reaches its idle loop.
     for (int guard = 0; guard < 10000; ++guard) {

@@ -14,9 +14,19 @@
 // share an entry — harmless, since decode depends only on the encoding.)
 // Compressed windows are normalised to their low 16 bits before tagging so
 // an RVC instruction hits regardless of what follows it in memory.
+//
+// An entry also carries what the host core derives from the encoding alone,
+// computed once per miss: the control-flow kind (rv::classify) and the
+// execute-latency class.  Both fit in the padding before the decoded form,
+// so an entry stays 40 bytes.  The storage is allocated zero-filled (an
+// all-zero entry is invalid), so building a cache writes none of its slots.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "rv/decode.hpp"
@@ -25,44 +35,97 @@
 
 namespace titan::sim {
 
+/// Execute-latency class of an operation; the host core maps each class to
+/// its configured cycle count.
+enum class LatencyClass : std::uint8_t { kAlu, kLoad, kStore, kMul, kDiv };
+inline constexpr std::size_t kLatencyClasses = 5;
+
+[[nodiscard]] constexpr LatencyClass latency_class(rv::Op op) {
+  using rv::Op;
+  switch (op) {
+    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu:
+    case Op::kLhu: case Op::kLwu: case Op::kLd:
+      return LatencyClass::kLoad;
+    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
+      return LatencyClass::kStore;
+    case Op::kMul: case Op::kMulh: case Op::kMulhsu: case Op::kMulhu:
+    case Op::kMulw:
+      return LatencyClass::kMul;
+    case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu:
+    case Op::kDivw: case Op::kDivuw: case Op::kRemw: case Op::kRemuw:
+      return LatencyClass::kDiv;
+    default:
+      return LatencyClass::kAlu;
+  }
+}
+
 class DecodeCache {
  public:
   static constexpr std::size_t kDefaultEntries = 8192;
 
-  explicit DecodeCache(rv::Xlen xlen, std::size_t entries = kDefaultEntries)
-      : xlen_(xlen), mask_(round_up_pow2(entries) - 1),
-        entries_(round_up_pow2(entries)) {}
+  /// One slot.  An implicit-lifetime aggregate whose all-zero bytes read as
+  /// an empty slot (`valid` false), which lets the storage come from calloc.
+  struct Entry {
+    std::uint32_t key = 0;
+    bool valid = false;
+    rv::CfKind kind = rv::CfKind::kNone;
+    LatencyClass latency = LatencyClass::kAlu;
+    rv::Inst inst;
 
-  /// Return the decoded form of the fetch window at `pc`, consulting the
-  /// cache first.  The reference stays valid until the entry is evicted, so
-  /// callers must copy it if they retain it across further decodes.
-  [[nodiscard]] const rv::Inst& decode(std::uint64_t pc, std::uint32_t window) {
+    /// Decode `window` and derive the fields that depend on it alone (the
+    /// miss path, load_state and the core's uncached reference path).
+    void fill(std::uint32_t window, rv::Xlen xlen) {
+      inst = rv::decode(window, xlen);
+      kind = rv::classify(inst);
+      latency = latency_class(inst.op);
+    }
+  };
+
+  explicit DecodeCache(rv::Xlen xlen, std::size_t entries = kDefaultEntries)
+      : xlen_(xlen), size_(round_up_pow2(entries)), mask_(size_ - 1),
+        entries_(static_cast<Entry*>(std::calloc(size_, sizeof(Entry)))) {
+    if (!entries_) {
+      throw std::bad_alloc();
+    }
+  }
+
+  /// Return the entry for the fetch window at `pc`, decoding on a miss.
+  /// The reference stays valid until the entry is evicted, so callers must
+  /// copy what they retain across further decodes.
+  [[nodiscard]] const Entry& decode(std::uint64_t pc, std::uint32_t window) {
     const std::uint32_t key = (window & 3) == 3 ? window : (window & 0xFFFF);
     // PCs are at least 2-byte aligned; drop the dead bit before indexing.
-    Entry& entry = entries_[(pc >> 1) & mask_];
+    const std::size_t slot = (pc >> 1) & mask_;
+    Entry& entry = entries_[slot];
     if (entry.valid && entry.key == key) {
       ++hits_;
-      return entry.inst;
+      return entry;
     }
     ++misses_;
-    entry.inst = rv::decode(key, xlen_);
+    if (!entry.valid) {
+      filled_.push_back(slot);
+    }
+    entry.fill(key, xlen_);
     entry.key = key;
     entry.valid = true;
-    return entry.inst;
+    return entry;
   }
 
+  /// Invalidate every entry (only the slots that were filled are written).
   void flush() {
-    for (Entry& entry : entries_) entry.valid = false;
+    for (const std::size_t slot : filled_) entries_[slot].valid = false;
+    filled_.clear();
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   /// Decodes skipped thanks to the cache (the bench counter).
   [[nodiscard]] std::uint64_t decodes_avoided() const { return hits_; }
   void reset_stats() { hits_ = misses_ = 0; }
 
-  /// Checkpoint support.  Entries are stored as (slot, key) pairs only:
+  /// Checkpoint support.  Entries are stored as (slot, key) pairs only, in
+  /// ascending slot order:
   /// `inst` is by invariant exactly rv::decode(key, xlen_), so load_state
   /// re-decodes instead of serializing decoded forms — smaller blobs, and a
   /// key/inst skew can never be smuggled in through a snapshot.  Geometry
@@ -70,14 +133,12 @@ class DecodeCache {
   void save_state(SnapshotWriter& writer) const {
     writer.u64(hits_);
     writer.u64(misses_);
-    std::uint64_t valid = 0;
-    for (const Entry& entry : entries_) valid += entry.valid ? 1 : 0;
-    writer.u64(valid);
-    for (std::size_t slot = 0; slot < entries_.size(); ++slot) {
-      if (entries_[slot].valid) {
-        writer.u64(slot);
-        writer.u32(entries_[slot].key);
-      }
+    std::vector<std::size_t> slots = filled_;
+    std::sort(slots.begin(), slots.end());
+    writer.u64(slots.size());
+    for (const std::size_t slot : slots) {
+      writer.u64(slot);
+      writer.u32(entries_[slot].key);
     }
   }
   void load_state(SnapshotReader& reader) {
@@ -87,21 +148,23 @@ class DecodeCache {
     const std::uint64_t valid = reader.u64();
     for (std::uint64_t i = 0; i < valid; ++i) {
       const std::uint64_t slot = reader.u64();
-      if (slot >= entries_.size()) {
+      if (slot >= size_) {
         throw SnapshotError("decode cache: slot out of range");
       }
+      const std::uint32_t key = reader.u32();
       Entry& entry = entries_[slot];
-      entry.key = reader.u32();
-      entry.inst = rv::decode(entry.key, xlen_);
+      if (!entry.valid) {
+        filled_.push_back(static_cast<std::size_t>(slot));
+      }
+      entry.fill(key, xlen_);
+      entry.key = key;
       entry.valid = true;
     }
   }
 
  private:
-  struct Entry {
-    std::uint32_t key = 0;
-    bool valid = false;
-    rv::Inst inst;
+  struct Free {
+    void operator()(Entry* entries) const { std::free(entries); }
   };
 
   [[nodiscard]] static std::size_t round_up_pow2(std::size_t n) {
@@ -111,8 +174,12 @@ class DecodeCache {
   }
 
   rv::Xlen xlen_;
+  std::size_t size_;
   std::size_t mask_;
-  std::vector<Entry> entries_;
+  std::unique_ptr<Entry[], Free> entries_;
+  /// Slots that became valid, each once: what flush() and save_state visit
+  /// instead of every slot.
+  std::vector<std::size_t> filled_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+
 #include "cva6/core.hpp"
 #include "ibex/core.hpp"
 #include "rv/assembler.hpp"
@@ -20,10 +23,10 @@ constexpr std::uint32_t kAddiA0A0_64 = 0x04050513;  // addi a0, a0, 64
 
 TEST(DecodeCache, SecondDecodeOfSameWindowHits) {
   sim::DecodeCache cache(rv::Xlen::k64);
-  const rv::Inst& first = cache.decode(0x1000, kAddiA0A0_1);
+  const rv::Inst& first = cache.decode(0x1000, kAddiA0A0_1).inst;
   EXPECT_EQ(first.op, rv::Op::kAddi);
   EXPECT_EQ(first.imm, 1);
-  const rv::Inst& again = cache.decode(0x1000, kAddiA0A0_1);
+  const rv::Inst& again = cache.decode(0x1000, kAddiA0A0_1).inst;
   EXPECT_EQ(again.imm, 1);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -32,9 +35,9 @@ TEST(DecodeCache, SecondDecodeOfSameWindowHits) {
 
 TEST(DecodeCache, ChangedEncodingAtSamePcRedecodes) {
   sim::DecodeCache cache(rv::Xlen::k64);
-  EXPECT_EQ(cache.decode(0x1000, kAddiA0A0_1).imm, 1);
+  EXPECT_EQ(cache.decode(0x1000, kAddiA0A0_1).inst.imm, 1);
   // A store rewrote the instruction: the raw tag must miss and re-decode.
-  EXPECT_EQ(cache.decode(0x1000, kAddiA0A0_64).imm, 64);
+  EXPECT_EQ(cache.decode(0x1000, kAddiA0A0_64).inst.imm, 64);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 2u);
 }
@@ -43,10 +46,10 @@ TEST(DecodeCache, CompressedWindowIsNormalised) {
   sim::DecodeCache cache(rv::Xlen::k64);
   // c.li a0, 1 == 0x4505; the high half of the fetch window is whatever
   // follows in memory and must not affect hit or decode.
-  const rv::Inst& a = cache.decode(0x2000, 0xFFFF'4505u);
+  const rv::Inst& a = cache.decode(0x2000, 0xFFFF'4505u).inst;
   EXPECT_EQ(a.op, rv::Op::kAddi);  // c.li expands to addi a0, x0, 1.
   EXPECT_EQ(a.len, 2);
-  const rv::Inst& b = cache.decode(0x2000, 0x1234'4505u);
+  const rv::Inst& b = cache.decode(0x2000, 0x1234'4505u).inst;
   EXPECT_EQ(b.imm, 1);
   EXPECT_EQ(cache.hits(), 1u);
 }
@@ -69,9 +72,113 @@ TEST(DecodeCache, MemoryLoadReplacingImageInvalidates) {
   const std::vector<std::uint8_t> image_a = {0x13, 0x05, 0x15, 0x00};  // +1
   const std::vector<std::uint8_t> image_b = {0x13, 0x05, 0x05, 0x04};  // +64
   memory.load(0x8000'0000, image_a);
-  EXPECT_EQ(cache.decode(0x8000'0000, memory.fetch32(0x8000'0000)).imm, 1);
+  EXPECT_EQ(cache.decode(0x8000'0000, memory.fetch32(0x8000'0000)).inst.imm, 1);
   memory.load(0x8000'0000, image_b);
-  EXPECT_EQ(cache.decode(0x8000'0000, memory.fetch32(0x8000'0000)).imm, 64);
+  EXPECT_EQ(cache.decode(0x8000'0000, memory.fetch32(0x8000'0000)).inst.imm, 64);
+}
+
+// ---- Derived fields of an entry ---------------------------------------------
+
+static_assert(sizeof(sim::DecodeCache::Entry) == 40,
+              "the kind and latency class must fit in the entry's padding");
+
+// The host core's former per-issue latency switch, with a distinct cycle
+// count per class so that a wrong class cannot hide behind an equal count.
+std::uint32_t reference_latency(rv::Op op) {
+  using rv::Op;
+  switch (op) {
+    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu:
+    case Op::kLhu: case Op::kLwu: case Op::kLd:
+      return 3;
+    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd:
+      return 5;
+    case Op::kMul: case Op::kMulh: case Op::kMulhsu: case Op::kMulhu:
+    case Op::kMulw:
+      return 7;
+    case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu:
+    case Op::kDivw: case Op::kDivuw: case Op::kRemw: case Op::kRemuw:
+      return 11;
+    default:
+      return 1;
+  }
+}
+
+TEST(DecodeCache, EntryCarriesClassifyAndLatencyClassForEveryOp) {
+  constexpr std::array<std::uint32_t, sim::kLatencyClasses> kCycles = {
+      1, 3, 5, 7, 11};  // Indexed by sim::LatencyClass.
+  sim::DecodeCache cache(rv::Xlen::k64, 1);
+  std::set<rv::Op> seen;
+  const auto check = [&](std::uint32_t window) {
+    const sim::DecodeCache::Entry& entry = cache.decode(0, window);
+    ASSERT_EQ(entry.kind, rv::classify(entry.inst)) << std::hex << window;
+    ASSERT_EQ(kCycles[static_cast<std::size_t>(entry.latency)],
+              reference_latency(entry.inst.op))
+        << std::hex << window;
+    seen.insert(entry.inst.op);
+  };
+  // Every compressed window.
+  for (std::uint32_t half = 0; half < 0x10000; ++half) {
+    if ((half & 3) != 3) {
+      check(half);
+    }
+  }
+  // Every 32-bit major opcode x funct3 x bits 31:20 (funct7, rs2 and the
+  // SYSTEM function codes), with rd and rs1 cycling through the link and
+  // non-link registers.
+  constexpr std::array<std::uint32_t, 4> kRegs = {0, 1, 5, 10};
+  std::uint32_t n = 0;
+  for (std::uint32_t opcode = 3; opcode < 0x80; opcode += 4) {
+    for (std::uint32_t funct3 = 0; funct3 < 8; ++funct3) {
+      for (std::uint32_t upper = 0; upper < 0x1000; ++upper, ++n) {
+        const std::uint32_t rd = kRegs[n % 4];
+        const std::uint32_t rs1 = (upper >> 5) == 0 ? 0 : kRegs[(n / 4) % 4];
+        check(opcode | rd << 7 | funct3 << 12 | rs1 << 15 | upper << 20);
+      }
+    }
+  }
+  // JAL and JALR over every rd x rs1: each call / return / jump kind.
+  for (std::uint32_t rd = 0; rd < 32; ++rd) {
+    for (std::uint32_t rs1 = 0; rs1 < 32; ++rs1) {
+      check(0x6F | rd << 7 | rs1 << 15);
+      check(0x67 | rd << 7 | rs1 << 15);
+    }
+  }
+  for (auto op = static_cast<unsigned>(rv::Op::kIllegal);
+       op <= static_cast<unsigned>(rv::Op::kRemuw); ++op) {
+    EXPECT_TRUE(seen.count(static_cast<rv::Op>(op)))
+        << "no window decoded to " << rv::mnemonic(static_cast<rv::Op>(op));
+  }
+}
+
+TEST(DecodeCache, SnapshotRoundTripKeepsDerivedFieldsAndClearsOnlyFilled) {
+  sim::DecodeCache source(rv::Xlen::k64, 64);
+  (void)source.decode(0x10, 0x000080E7);  // jalr ra, 0(ra): a call.
+  (void)source.decode(0x20, kAddiA0A0_1);
+  sim::SnapshotWriter writer;
+  source.save_state(writer);
+
+  // The target holds entries the snapshot does not: loading must drop them.
+  sim::DecodeCache target(rv::Xlen::k64, 64);
+  (void)target.decode(0x30, 0x02A5C533);  // div a0, a1, a0.
+  sim::SnapshotReader reader(writer.data());
+  target.load_state(reader);
+  EXPECT_EQ(target.hits(), 0u);
+  EXPECT_EQ(target.misses(), 2u);
+
+  const sim::DecodeCache::Entry& call = target.decode(0x10, 0x000080E7);
+  EXPECT_EQ(call.kind, rv::CfKind::kCall);
+  EXPECT_EQ(call.latency, sim::LatencyClass::kAlu);
+  EXPECT_EQ(target.hits(), 1u);
+  (void)target.decode(0x30, 0x02A5C533);
+  EXPECT_EQ(target.misses(), 3u);  // Cleared by the load: decoded anew.
+
+  // Saving the loaded cache reproduces the blob byte for byte.
+  sim::SnapshotWriter again;
+  sim::DecodeCache copy(rv::Xlen::k64, 64);
+  sim::SnapshotReader replay(writer.data());
+  copy.load_state(replay);
+  copy.save_state(again);
+  EXPECT_EQ(again.data(), writer.data());
 }
 
 // ---- End-to-end: self-modifying code on the CVA6 model ----------------------

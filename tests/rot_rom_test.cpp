@@ -14,10 +14,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "api/api.hpp"
+#include "firmware/builder.hpp"
 #include "ibex/core.hpp"
 #include "ibex/rom.hpp"
 #include "rv/assembler.hpp"
@@ -324,6 +326,86 @@ TEST(RotRomConcurrency, SweepWorkersShareOneScenariosRom) {
       });
   for (const api::RunReport& report : reports) {
     EXPECT_EQ(report, serial);
+  }
+}
+
+// ---- One ROM per distinct firmware config ----------------------------------
+
+void expect_same_table(const ibex::FirmwareRom& shared,
+                       const ibex::FirmwareRom& fresh) {
+  EXPECT_EQ(shared.image().base, fresh.image().base);
+  EXPECT_EQ(shared.image().bytes, fresh.image().bytes);
+  ASSERT_EQ(shared.table().size(), fresh.table().size());
+  for (std::size_t slot = 0; slot < fresh.table().size(); ++slot) {
+    const rv::Inst& a = shared.table()[slot];
+    const rv::Inst& b = fresh.table()[slot];
+    ASSERT_EQ(std::tie(a.op, a.rd, a.rs1, a.rs2, a.imm, a.raw, a.expanded,
+                       a.len),
+              std::tie(b.op, b.rd, b.rs1, b.rs2, b.imm, b.raw, b.expanded,
+                       b.len))
+        << "slot " << slot;
+  }
+}
+
+TEST(RotRomSharing, EqualConfigsShareOneRomWithUnchangedTable) {
+  fw::FirmwareConfig config;
+  config.variant = fw::FwVariant::kPolling;
+  config.batch_capacity = 8;
+  fw::FirmwareConfig equal = config;
+  // A geometry no registry scenario uses, so nothing else holds its ROM.
+  fw::FirmwareConfig other = config;
+  other.ss_capacity = 27;
+  other.spill_block = 9;
+
+  const auto first = fw::shared_rom(config);
+  const auto second = fw::shared_rom(equal);
+  auto distinct = fw::shared_rom(other);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_NE(first.get(), distinct.get());
+  expect_same_table(*first,
+                    *ibex::FirmwareRom::build(fw::build_firmware(config)));
+  expect_same_table(*distinct,
+                    *ibex::FirmwareRom::build(fw::build_firmware(other)));
+
+  // The cache keeps no ROM alive by itself.
+  const std::weak_ptr<const ibex::FirmwareRom> watch = distinct;
+  distinct.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(RotRomSharing, ScenariosWithEqualFirmwareShareOneRom) {
+  const auto build = [](const std::string& name, api::Workload workload) {
+    return api::ScenarioBuilder()
+        .name(name)
+        .workload(std::move(workload))
+        .firmware(api::Firmware::kIrq)
+        .drain_burst(8)
+        .build();
+  };
+  const api::Scenario a = build("share/a", api::Workload::fib(6));
+  const api::Scenario b = build("share/b", api::Workload::stats(16));
+  EXPECT_EQ(&a.firmware_image(), &b.firmware_image());
+  const api::Scenario c = api::ScenarioBuilder()
+                              .name("share/c")
+                              .workload(api::Workload::fib(6))
+                              .firmware(api::Firmware::kPolling)
+                              .build();
+  EXPECT_NE(&a.firmware_image(), &c.firmware_image());
+}
+
+TEST(RotRomConcurrency, ThreadsAskingForOneConfigShareOneRom) {
+  fw::FirmwareConfig config;
+  config.ss_capacity = 24;
+  std::vector<std::shared_ptr<const ibex::FirmwareRom>> roms(4);
+  std::vector<std::thread> threads;
+  for (auto& rom : roms) {
+    threads.emplace_back([&rom, &config] { rom = fw::shared_rom(config); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const auto& rom : roms) {
+    EXPECT_EQ(rom.get(), roms.front().get());
   }
 }
 

@@ -232,6 +232,7 @@ TEST(ServeProtocol, MalformedFrameGetsStructuredErrorAndConnectionSurvives) {
   client.send_text("{this is not json\n");
   const sim::JsonValue error = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(error.find("ok")->as_bool());
+  ASSERT_NE(error.find("error"), nullptr);
   EXPECT_EQ(error.find("error")->find("code")->as_string(), "bad_frame");
   // Same connection keeps working.
   client.send_text("{\"schema_version\":1,\"id\":\"p\",\"op\":\"ping\"}\n");
@@ -241,22 +242,20 @@ TEST(ServeProtocol, MalformedFrameGetsStructuredErrorAndConnectionSurvives) {
 TEST(ServeProtocol, ErrorTaxonomyOverTheWire) {
   ServeFixture fixture;
   Client client(fixture.port());
-  const auto error_code = [&](const std::string& frame) {
+  const auto expect_error_code = [&](const std::string& frame,
+                                    const std::string& code) {
     client.send_text(frame + "\n");
-    return sim::JsonValue::parse(client.read_line())
-        .find("error")
-        ->find("code")
-        ->as_string();
+    const sim::JsonValue response = sim::JsonValue::parse(client.read_line());
+    ASSERT_NE(response.find("error"), nullptr) << frame;
+    EXPECT_EQ(response.find("error")->find("code")->as_string(), code);
   };
-  EXPECT_EQ(error_code(R"({"schema_version":9,"op":"ping"})"),
-            "unsupported_version");
-  EXPECT_EQ(error_code(R"({"schema_version":1,"op":"melt"})"), "unknown_op");
-  EXPECT_EQ(error_code(
-                R"({"schema_version":1,"op":"run","scenario":"no/such"})"),
-            "unknown_scenario");
-  EXPECT_EQ(error_code(
-                R"({"schema_version":1,"op":"run","spec":"scenario{bad}"})"),
-            "invalid_scenario");
+  expect_error_code(R"({"schema_version":9,"op":"ping"})",
+                    "unsupported_version");
+  expect_error_code(R"({"schema_version":1,"op":"melt"})", "unknown_op");
+  expect_error_code(R"({"schema_version":1,"op":"run","scenario":"no/such"})",
+                    "unknown_scenario");
+  expect_error_code(R"({"schema_version":1,"op":"run","spec":"scenario{bad}"})",
+                    "invalid_scenario");
 }
 
 TEST(ServeProtocol, OversizedFrameIsRejectedAndDiscarded) {
@@ -268,6 +267,7 @@ TEST(ServeProtocol, OversizedFrameIsRejectedAndDiscarded) {
   client.send_text("{\"pad\":\"" + std::string(4096, 'x'));
   client.send_text(std::string(4096, 'y') + "\"}\n");
   const sim::JsonValue error = sim::JsonValue::parse(client.read_line());
+  ASSERT_NE(error.find("error"), nullptr);
   EXPECT_EQ(error.find("error")->find("code")->as_string(),
             "oversized_frame");
   client.send_text("{\"schema_version\":1,\"id\":\"after\",\"op\":\"ping\"}\n");
@@ -476,9 +476,11 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   return client.read_all();
 }
 
-/// A minimal single-run spec whose runtime is controlled by the workload
-/// (fib(22) ≈ half a second — long enough that admission/cancellation races
-/// cannot slip past it, short enough for test wall-clock).
+/// A minimal single-run spec whose runtime is controlled by the workload.
+/// A served fib(22) takes ≈ 150 ms (Release, 4-vCPU x86 VM): ≥ 15x the
+/// ≈ 5–10 ms probe windows of the admission, drain and chaos tests, so the
+/// runs they park are still running when probed, and short enough for test
+/// wall-clock.
 std::string spec_scaffold(const std::string& name,
                           const std::string& workload) {
   return "scenario{name=" + name + ";workload=" + workload +
@@ -547,6 +549,7 @@ TEST(ServeLifecycle, HealthzAlwaysAnswersWhileReadyzTracksPhase) {
   client.send_text(run_request("rejected", "irq/baseline/burst1"));
   const sim::JsonValue refused = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(refused.find("ok")->as_bool());
+  ASSERT_NE(refused.find("error"), nullptr);
   EXPECT_EQ(refused.find("error")->find("code")->as_string(), "shutdown");
   client.send_text("{\"schema_version\":1,\"id\":\"p\",\"op\":\"ping\"}\n");
   EXPECT_TRUE(sim::JsonValue::parse(client.read_line()).find("ok")->as_bool());
@@ -576,9 +579,10 @@ TEST(ServeLifecycle, DrainTimeoutCancelsStragglers) {
   ServeFixture fixture;
   fixture.server().set_ready();
   Client client(fixture.port());
-  // fib(26) runs for several seconds — far past the drain timeout.
+  // fib(32) runs for seconds (far past the 50-ms drain timeout), and the
+  // timeout cancels it, so the test does not wait for it.
   client.send_text(spec_run_request(
-      "straggler", spec_scaffold("drain/straggler", "fib(26)"), -1, 0));
+      "straggler", spec_scaffold("drain/straggler", "fib(32)"), -1, 0));
   await_outstanding(fixture.port(), 1);
 
   // The timeout path must cut the run off through its cancel token and
@@ -586,6 +590,7 @@ TEST(ServeLifecycle, DrainTimeoutCancelsStragglers) {
   EXPECT_FALSE(fixture.server().drain(std::chrono::milliseconds(50)));
   const sim::JsonValue cancelled = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(cancelled.find("ok")->as_bool());
+  ASSERT_NE(cancelled.find("error"), nullptr);
   EXPECT_EQ(cancelled.find("error")->find("code")->as_string(), "cancelled");
   EXPECT_EQ(fixture.metrics().counter("titand_cancelled_total"), 1u);
 }
@@ -614,6 +619,7 @@ TEST(ServeAdmission, ShedsBeyondCapacityWithRetryHint) {
   const sim::JsonValue overloaded = sim::JsonValue::parse(shed.read_line());
   EXPECT_FALSE(overloaded.find("ok")->as_bool());
   const sim::JsonValue* error = overloaded.find("error");
+  ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->find("code")->as_string(), "overloaded");
   EXPECT_EQ(error->find("retry_after_ms")->as_int(), 123);
   EXPECT_EQ(fixture.metrics().counter("titand_shed_total"), 1u);
@@ -640,16 +646,19 @@ TEST(ServeDeadline, DeadlineZeroIsDeterministicAndMidRunDeadlineCancels) {
       "zero", spec_scaffold("deadline/zero", "stats(4096)"), 0, 0));
   const sim::JsonValue zero = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(zero.find("ok")->as_bool());
+  ASSERT_NE(zero.find("error"), nullptr);
   EXPECT_EQ(zero.find("error")->find("code")->as_string(),
             "deadline_exceeded");
   EXPECT_EQ(zero.find("error")->find("cycles")->as_int(), 0);
 
   // A mid-run deadline stops a long run cooperatively, reporting the
-  // cycles completed so far.
+  // cycles completed so far.  fib(32) runs for seconds, so it cannot finish
+  // inside the 250-ms deadline, which cuts it.
   client.send_text(spec_run_request(
-      "mid", spec_scaffold("deadline/mid", "fib(26)"), 250, 0));
+      "mid", spec_scaffold("deadline/mid", "fib(32)"), 250, 0));
   const sim::JsonValue mid = sim::JsonValue::parse(client.read_line());
   EXPECT_FALSE(mid.find("ok")->as_bool());
+  ASSERT_NE(mid.find("error"), nullptr);
   EXPECT_EQ(mid.find("error")->find("code")->as_string(),
             "deadline_exceeded");
   EXPECT_GT(mid.find("error")->find("cycles")->as_int(), 0);
@@ -668,6 +677,7 @@ TEST(ServeBudget, StopsAtExactBudgetAndWithinBudgetIsByteIdentical) {
         engine));
     const sim::JsonValue stopped = sim::JsonValue::parse(client.read_line());
     EXPECT_FALSE(stopped.find("ok")->as_bool()) << engine;
+    ASSERT_NE(stopped.find("error"), nullptr) << engine;
     EXPECT_EQ(stopped.find("error")->find("code")->as_string(),
               "budget_exceeded")
         << engine;
@@ -704,8 +714,9 @@ TEST(ServeChaosHarness, SeededScheduleSurvivesAndReplaysByteEqual) {
   serve::ChaosConfig config;
   config.port = fixture.port();
   config.seed = 7;
-  // fib(22) still outlasts the probe window by ~10x but keeps the flood
-  // phase fast enough for sanitizer runs.
+  // fib(22) (≈ 150 ms) outlasts the flood phase's probe window (≈ 10 ms
+  // from the first filler to the last disconnect) by ≈ 15x but keeps the
+  // flood phase fast enough for sanitizer runs.
   config.filler_workload = "fib(22)";
 
   const serve::ChaosReport first = serve::run_chaos(config);
