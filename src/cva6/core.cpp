@@ -15,6 +15,10 @@ std::uint64_t sext32(std::uint32_t value) {
       static_cast<std::int64_t>(static_cast<std::int32_t>(value)));
 }
 
+[[noreturn, gnu::cold, gnu::noinline]] void budget_exhausted() {
+  throw std::runtime_error("Cva6Core: instruction budget exhausted");
+}
+
 }  // namespace
 
 Cva6Core::Cva6Core(const Cva6Config& config, sim::Memory& memory)
@@ -32,21 +36,17 @@ void Cva6Core::issue_one() {
   if (halted_) {
     return;
   }
-  if (instret_ >= config_.max_instructions) {
-    throw std::runtime_error("Cva6Core: instruction budget exhausted");
+  if (instret_ >= config_.max_instructions) [[unlikely]] {
+    budget_exhausted();
   }
 
   // One instruction-lane page probe yields the whole fetch window; the
   // decode cache skips rv::decode whenever the window's encoding matches.
   const std::uint32_t window = fetch_window(pc_);
-  const sim::DecodeCache::Entry* decoded;
-  if (decode_cache_enabled_) {
-    decoded = &decode_cache_.decode(pc_, window);
-  } else {
-    uncached_.fill(window, rv::Xlen::k64);
-    decoded = &uncached_;
-  }
-  const rv::Inst& inst = decoded->inst;
+  const sim::DecodeCache::Entry& decoded =
+      decode_cache_enabled_ ? decode_cache_.decode(pc_, window)
+                            : decode_uncached(window);
+  const rv::Inst& inst = decoded.inst;
 
   // Construct the entry in place in its ring slot (issue order == slot
   // order; the caller guarantees a free slot).
@@ -55,13 +55,13 @@ void Cva6Core::issue_one() {
   entry.pc = pc_;
   entry.inst = inst;
   entry.next_pc = pc_ + inst.len;
-  entry.kind = decoded->kind;
+  entry.kind = decoded.kind;
 
-  execute(inst, entry);
+  execute(decoded, entry);
   ++instret_;
 
   std::uint32_t latency =
-      latency_[static_cast<std::size_t>(decoded->latency)];
+      latency_[static_cast<std::size_t>(decoded.latency)];
   if (entry.kind != rv::CfKind::kNone && entry.target != entry.next_pc) {
     latency += config_.taken_cf_penalty;
   }
@@ -78,8 +78,10 @@ void Cva6Core::issue_one() {
   ++rob_size_;
 }
 
-void Cva6Core::execute(const rv::Inst& inst, ScoreboardEntry& entry) {
+void Cva6Core::execute(const sim::DecodeCache::Entry& decoded,
+                       ScoreboardEntry& entry) {
   using rv::Op;
+  const rv::Inst& inst = decoded.inst;
   const std::uint64_t rs1 = regs_[inst.rs1];
   const std::uint64_t rs2 = regs_[inst.rs2];
   const std::uint64_t imm = static_cast<std::uint64_t>(inst.imm);
@@ -90,15 +92,12 @@ void Cva6Core::execute(const rv::Inst& inst, ScoreboardEntry& entry) {
   const std::uint64_t ea = rs1 + imm;
 
   // PMP check for data accesses (access fault on denial, paper Sec. VI).
-  const bool is_load = inst.op >= Op::kLb && inst.op <= Op::kLd;
-  const bool is_store = inst.op >= Op::kSb && inst.op <= Op::kSd;
+  const bool is_load = decoded.latency == sim::LatencyClass::kLoad;
+  const bool is_store = decoded.latency == sim::LatencyClass::kStore;
   if (pmp_ != nullptr && (is_load || is_store)) {
     const auto kind = is_load ? soc::PmpAccess::kRead : soc::PmpAccess::kWrite;
-    if (!pmp_->check(ea, kind)) {
-      access_fault_ = true;
-      halted_ = true;
-      exit_code_ = 0xACC;
-      entry.target = entry.next_pc;
+    if (!pmp_->check(ea, kind)) [[unlikely]] {
+      deny_access(entry);
       return;
     }
   }
@@ -237,6 +236,28 @@ void Cva6Core::execute(const rv::Inst& inst, ScoreboardEntry& entry) {
   }
   entry.target = next_pc;
   pc_ = next_pc;
+}
+
+void Cva6Core::deny_access(ScoreboardEntry& entry) {
+  access_fault_ = true;
+  halted_ = true;
+  exit_code_ = 0xACC;
+  entry.target = entry.next_pc;
+}
+
+std::uint32_t Cva6Core::fetch_refill(std::uint64_t pc) {
+  std::uint32_t window;
+  if (fetch_cache_.refill(memory_, pc, &window)) [[likely]] {
+    return window;
+  }
+  // Page straddle, unmapped page, or seed-mode memory: the full probe also
+  // handles strict-mode accounting.
+  return memory_.fetch32(pc);
+}
+
+const sim::DecodeCache::Entry& Cva6Core::decode_uncached(std::uint32_t window) {
+  uncached_.fill(window, rv::Xlen::k64);
+  return uncached_;
 }
 
 std::span<const ScoreboardEntry> Cva6Core::commit_candidates() {

@@ -186,20 +186,29 @@ class Cva6Core {
   }
 
   /// Functionally execute the next instruction and append it to the ROB.
-  void issue_one();
-  void execute(const rv::Inst& inst, ScoreboardEntry& entry);
+  /// Both are compiled into their callers (tick and run_until_event, in
+  /// core.cpp), so an instruction costs no call on the hot path; only the
+  /// rare paths (decode miss, fetch refill, PMP denial, the budget throw)
+  /// are calls.
+  [[gnu::always_inline]] inline void issue_one();
+  [[gnu::always_inline]] inline void execute(
+      const sim::DecodeCache::Entry& decoded, ScoreboardEntry& entry);
+  /// Halt on a PMP-denied data access (the 0xACC access fault).
+  [[gnu::noinline]] void deny_access(ScoreboardEntry& entry);
   /// The 4-byte fetch window at `pc`: one probe of the hoisted page on a
   /// hit, the full memory path otherwise.
   [[nodiscard]] std::uint32_t fetch_window(std::uint64_t pc) {
     std::uint32_t window;
-    if (fetch_cache_.lookup(pc, &window) ||
-        fetch_cache_.refill(memory_, pc, &window)) [[likely]] {
+    if (fetch_cache_.lookup(pc, &window)) [[likely]] {
       return window;
     }
-    // Page straddle, unmapped page, or seed-mode memory: the full probe also
-    // handles strict-mode accounting.
-    return memory_.fetch32(pc);
+    return fetch_refill(pc);
   }
+  /// fetch_window's miss: install the page, or take the full memory path.
+  [[gnu::noinline]] std::uint32_t fetch_refill(std::uint64_t pc);
+  /// The reference path's decode (cache disabled), into uncached_.
+  [[gnu::noinline]] const sim::DecodeCache::Entry& decode_uncached(
+      std::uint32_t window);
   void record_commit(const ScoreboardEntry& entry);
 
   Cva6Config config_;

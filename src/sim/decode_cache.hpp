@@ -91,24 +91,19 @@ class DecodeCache {
 
   /// Return the entry for the fetch window at `pc`, decoding on a miss.
   /// The reference stays valid until the entry is evicted, so callers must
-  /// copy what they retain across further decodes.
-  [[nodiscard]] const Entry& decode(std::uint64_t pc, std::uint32_t window) {
+  /// copy what they retain across further decodes.  Only the hit is inlined
+  /// into the caller's loop; the miss is one out-of-line call.
+  [[nodiscard, gnu::always_inline]] const Entry& decode(std::uint64_t pc,
+                                                        std::uint32_t window) {
     const std::uint32_t key = (window & 3) == 3 ? window : (window & 0xFFFF);
     // PCs are at least 2-byte aligned; drop the dead bit before indexing.
     const std::size_t slot = (pc >> 1) & mask_;
     Entry& entry = entries_[slot];
-    if (entry.valid && entry.key == key) {
+    if (entry.valid && entry.key == key) [[likely]] {
       ++hits_;
       return entry;
     }
-    ++misses_;
-    if (!entry.valid) {
-      filled_.push_back(slot);
-    }
-    entry.fill(key, xlen_);
-    entry.key = key;
-    entry.valid = true;
-    return entry;
+    return miss(slot, key);
   }
 
   /// Invalidate every entry (only the slots that were filled are written).
@@ -163,6 +158,18 @@ class DecodeCache {
   }
 
  private:
+  [[gnu::noinline]] const Entry& miss(std::size_t slot, std::uint32_t key) {
+    ++misses_;
+    Entry& entry = entries_[slot];
+    if (!entry.valid) {
+      filled_.push_back(slot);
+    }
+    entry.fill(key, xlen_);
+    entry.key = key;
+    entry.valid = true;
+    return entry;
+  }
+
   struct Free {
     void operator()(Entry* entries) const { std::free(entries); }
   };

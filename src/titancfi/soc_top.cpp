@@ -291,6 +291,26 @@ void SocTop::drain_pending(sim::Cycle& cycle) {
     if (cycle >= drain_guard) {
       throw std::runtime_error("SocTop: drain did not converge");
     }
+    if (config_.engine != Engine::kLockStep &&
+        log_writer_->awaiting_verdict(cycle)) {
+      // Verdict wait: the host is done, so until the RoT's completion write
+      // (or the watchdog deadline, which must be stepped) an iteration only
+      // counts a writer wait cycle and steps the RoT — replayed below.  The
+      // window also ends at the guard, so a non-converging drain throws at
+      // the lock-step cycle, and, with a token armed, at the cancel stride,
+      // which bounds the cancellation latency.
+      sim::Cycle end = std::min(drain_guard, log_writer_->watchdog_deadline());
+      if (cancel_ != nullptr) {
+        end = std::min(end, cycle + cancel_stride_);
+      }
+      if (end > cycle) {
+        const sim::Cycle waited = run_rot_to_verdict(cycle, end - 1);
+        log_writer_->note_waited_cycles(waited);
+        cycle += waited;
+        continue;
+      }
+    }
+    ++stepped_drain_cycles_;
     host_now_ = cycle;
     log_writer_->tick(cycle);
     rot_->run_until(cycle + kRotInitBudget);
@@ -358,6 +378,19 @@ bool SocTop::stalled_on_rot(sim::Cycle cycle) const {
          log_writer_->awaiting_verdict(cycle);
 }
 
+sim::Cycle SocTop::run_rot_to_verdict(sim::Cycle cycle, sim::Cycle last) {
+  // Lock-step runs the RoT to h + kRotInitBudget at host cycle h, so a
+  // completion raised by a step starting at Ibex cycle c_s is first seen by
+  // the writer on the cycle after h* = c_s + 1 - kRotInitBudget: the window
+  // ends at h*, or at `last` if the RoT does not complete before.
+  if (const auto started =
+          rot_->run_until(last + kRotInitBudget, /*stop_on_completion=*/true)) {
+    last = std::max(cycle + kRotInitBudget, *started + 1) - kRotInitBudget;
+  }
+  rot_->run_until(last + kRotInitBudget);
+  return last + 1 - cycle;
+}
+
 sim::Cycle SocTop::skip_stalled_cycles(sim::Cycle cycle, sim::Cycle limit) {
   // The watchdog acts on its deadline cycle, which must be stepped.
   const sim::Cycle end = std::min(limit, log_writer_->watchdog_deadline());
@@ -374,17 +407,7 @@ sim::Cycle SocTop::skip_stalled_cycles(sim::Cycle cycle, sim::Cycle limit) {
       return 0;
     }
   }
-  // Lock-step runs the RoT to h + kRotInitBudget at host cycle h, so a
-  // completion raised by a step starting at Ibex cycle c_s is first seen by
-  // the writer on the cycle after h* = c_s + 1 - kRotInitBudget: the window
-  // ends at h*, or at its clamp if the RoT does not complete before.
-  sim::Cycle last = cycle + span - 1;
-  if (const auto started =
-          rot_->run_until(last + kRotInitBudget, /*stop_on_completion=*/true)) {
-    last = std::max(cycle + kRotInitBudget, *started + 1) - kRotInitBudget;
-  }
-  rot_->run_until(last + kRotInitBudget);
-  const sim::Cycle skipped = last + 1 - cycle;
+  const sim::Cycle skipped = run_rot_to_verdict(cycle, cycle + span - 1);
   host_core_->note_stalled_cycles(skipped);
   queue_controller_.note_full_stall_cycles(skipped);
   log_writer_->note_waited_cycles(skipped);

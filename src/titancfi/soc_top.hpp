@@ -49,7 +49,8 @@ enum class Engine {
   /// quantum and the RoT clock advances once per quantum.  While the host
   /// is blocked on a full queue and the writer waits on the RoT's verdict,
   /// the RoT runs to its completion write and the stalled host cycles are
-  /// replayed arithmetically.  Falls back to exact per-cycle stepping
+  /// replayed arithmetically; the post-program drain skips the writer's
+  /// verdict waits the same way.  Falls back to exact per-cycle stepping
   /// everywhere else.
   kEventDriven,
 };
@@ -181,6 +182,12 @@ class SocTop {
   /// skipped by a fast-forward window; on lock-step, every cycle it ran.
   /// An execution statistic, not state: absent from reports and snapshots.
   [[nodiscard]] sim::Cycle stepped_cycles() const { return stepped_cycles_; }
+  /// Post-program drain iterations stepped one at a time, i.e. not skipped
+  /// by a verdict-wait window; on lock-step, every drain cycle.  Like
+  /// stepped_cycles(), absent from reports and snapshots.
+  [[nodiscard]] sim::Cycle stepped_drain_cycles() const {
+    return stepped_drain_cycles_;
+  }
 
   /// The event engine's second fast-forward predicate, the back-pressure
   /// window, at loop-top cycle `cycle`: the queue is full under
@@ -195,9 +202,9 @@ class SocTop {
   /// component stream (host core, queue controller, log writer, mailbox,
   /// AXI fabric, fault injector, RoT subsystem).  host_now_ is dead at every
   /// loop-top boundary (reassigned before any use in step_cycle and
-  /// drain_pending) and, with the stepped_cycles() statistic, one of the two
-  /// engine-divergent members, so neither is serialized.  The caller seals
-  /// the snapshot.
+  /// drain_pending) and, with the stepped_cycles() and
+  /// stepped_drain_cycles() statistics, one of the engine-divergent members,
+  /// so none is serialized.  The caller seals the snapshot.
   void capture(sim::Snapshot& snapshot, sim::Cycle cycle) const;
 
   /// Rebuild the captured state.  The SocConfig and program images must match
@@ -225,6 +232,7 @@ class SocTop {
   /// One exact simulated cycle (the lock-step loop body); advances `cycle`.
   void step_cycle(sim::Cycle& cycle);
   /// Post-program drain: tick the writer/RoT until the CFI pipeline empties.
+  /// The event engine skips the writer's verdict waits (run_rot_to_verdict).
   void drain_pending(sim::Cycle& cycle);
   [[nodiscard]] SocRunResult collect_result() const;
   /// Loop-top limit check: budget first (deterministic), then the token.
@@ -251,6 +259,11 @@ class SocTop {
   /// wait cycle).  Returns the host cycles skipped (0 when the window is
   /// empty and the cycle must be stepped).
   sim::Cycle skip_stalled_cycles(sim::Cycle cycle, sim::Cycle limit);
+  /// Run the RoT through a verdict wait of host cycles [cycle, last]: to
+  /// the cycle the writer would first see its completion, or to `last` if
+  /// the RoT does not complete before.  Returns the host cycles the wait
+  /// covered, for the caller to replay.
+  inline sim::Cycle run_rot_to_verdict(sim::Cycle cycle, sim::Cycle last);
 
   SocConfig config_;
   sim::Memory host_memory_;
@@ -286,6 +299,9 @@ class SocTop {
   sim::Cycle budget_ = 0;
   sim::Cycle cancel_stride_ = 0;
   StopCause stop_cause_ = StopCause::kCompleted;
+  /// Drain iterations run() stepped one at a time (see
+  /// stepped_drain_cycles()).
+  sim::Cycle stepped_drain_cycles_ = 0;
 };
 
 }  // namespace titan::cfi

@@ -4,15 +4,22 @@
 // quanta and steps each CFI window one cycle at a time with an arbiter that
 // allows every candidate; the reference steps every cycle the same way.  The
 // two must agree on the clock, the retired and stalled counts, the full
-// commit trace and the per-port filter scan sums.
+// commit trace and the per-port filter scan sums.  The inputs include the
+// core's out-of-line paths: decode misses from self-modifying stores, the
+// uncached reference decode, and a PMP-denied store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "cva6/core.hpp"
+#include "rv/assembler.hpp"
+#include "self_modifying_program.hpp"
+#include "soc/memmap.hpp"
+#include "soc/pmp.hpp"
 #include "workloads/programs.hpp"
 
 namespace titan::cva6 {
@@ -41,7 +48,7 @@ void step_allow_all(Cva6Core& core, Outcome& out) {
 }
 
 Outcome run(const rv::Image& image, unsigned rob_depth, unsigned commit_width,
-            bool quanta) {
+            bool quanta, bool decode_cache, const soc::Pmp* pmp) {
   sim::Memory memory;
   memory.load(image.base, image.bytes);
   Cva6Config config;
@@ -49,6 +56,8 @@ Outcome run(const rv::Image& image, unsigned rob_depth, unsigned commit_width,
   config.rob_depth = rob_depth;
   config.commit_width = commit_width;
   Cva6Core core(config, memory);
+  core.set_decode_cache_enabled(decode_cache);
+  core.set_pmp(pmp);
   Outcome out;
   for (std::uint64_t round = 0; !core.program_done(); ++round) {
     if (quanta) {
@@ -89,27 +98,68 @@ void expect_same(const Outcome& event, const Outcome& stepped,
   }
 }
 
+// A short loop with a call in it, then a store to the CFI mailbox, which
+// host software may not touch: behind the TitanCFI PMP the store halts the
+// core with an access fault before the ecall.
+rv::Image mailbox_store_program() {
+  using rv::Reg;
+  rv::Assembler a(rv::Xlen::k64, 0x8000'0000);
+  auto leaf = a.new_label();
+  auto loop = a.new_label();
+  a.li(Reg::kA0, 0);
+  a.li(Reg::kS1, 6);
+  a.bind(loop);
+  a.call(leaf);
+  a.addi(Reg::kS1, Reg::kS1, -1);
+  a.bnez(Reg::kS1, loop);
+  a.li(Reg::kT0, static_cast<std::int64_t>(soc::kCfiMailbox.base));
+  a.sd(Reg::kA0, Reg::kT0, 0);
+  a.ecall();
+  a.bind(leaf);
+  a.addi(Reg::kA0, Reg::kA0, 3);
+  a.ret();
+  return a.finish();
+}
+
 TEST(Cva6Quantum, MatchesPerCycleSteppingAcrossRobGeometries) {
-  const std::vector<std::pair<std::string, rv::Image>> programs = {
-      {"stats", workloads::stats(64)},
-      {"matmul", workloads::matmul(5)},
-      {"crc32", workloads::crc32(64)},
-      {"fib", workloads::fib_recursive(9)},
+  const soc::Pmp pmp = soc::Pmp::titancfi_default();
+  struct Input {
+    std::string name;
+    rv::Image image;
+    const soc::Pmp* pmp;
+    std::optional<std::uint64_t> exit_code;
   };
-  for (const auto& [name, image] : programs) {
-    for (const unsigned depth : {1u, 2u, 3u, 5u, 8u, 16u}) {
-      for (const unsigned width : {1u, 2u, 3u}) {
-        const std::string where = name + " depth=" + std::to_string(depth) +
-                                  " width=" + std::to_string(width);
-        const Outcome stepped = run(image, depth, width, false);
-        const Outcome event = run(image, depth, width, true);
-        ASSERT_FALSE(stepped.trace.empty()) << where;
-        EXPECT_GT(event.quantum_cycles, 0u) << where;
-        // Only the call-heavy program has CFI windows to step through.
-        if (name == "fib") {
-          EXPECT_LT(event.quantum_cycles, event.cycle) << where;
+  const std::vector<Input> inputs = {
+      {"stats", workloads::stats(64), nullptr, std::nullopt},
+      {"matmul", workloads::matmul(5), nullptr, std::nullopt},
+      {"crc32", workloads::crc32(64), nullptr, std::nullopt},
+      {"fib", workloads::fib_recursive(9), nullptr, std::nullopt},
+      {"self_modifying", test_programs::self_modifying_program(), nullptr, 65},
+      {"mailbox_store", mailbox_store_program(), &pmp, 0xACC},
+  };
+  for (const Input& input : inputs) {
+    for (const bool cached : {true, false}) {
+      for (const unsigned depth : {1u, 2u, 3u, 5u, 8u, 16u}) {
+        for (const unsigned width : {1u, 2u, 3u}) {
+          const std::string where =
+              input.name + (cached ? " cached" : " uncached") +
+              " depth=" + std::to_string(depth) +
+              " width=" + std::to_string(width);
+          const Outcome stepped =
+              run(input.image, depth, width, false, cached, input.pmp);
+          const Outcome event =
+              run(input.image, depth, width, true, cached, input.pmp);
+          ASSERT_FALSE(stepped.trace.empty()) << where;
+          if (input.exit_code) {
+            EXPECT_EQ(stepped.exit_code, *input.exit_code) << where;
+          }
+          EXPECT_GT(event.quantum_cycles, 0u) << where;
+          // Only the call-heavy program has CFI windows to step through.
+          if (input.name == "fib") {
+            EXPECT_LT(event.quantum_cycles, event.cycle) << where;
+          }
+          expect_same(event, stepped, where);
         }
-        expect_same(event, stepped, where);
       }
     }
   }

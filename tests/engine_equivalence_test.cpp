@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +41,7 @@ struct Observed {
   std::uint64_t hmac_starts = 0;
   /// How the engine got there (never compared across engines).
   sim::Cycle stepped_cycles = 0;
+  sim::Cycle stepped_drain_cycles = 0;
   /// The run stopped at a loop-top cycle inside a back-pressure window.
   bool stopped_in_window = false;
 };
@@ -60,6 +62,7 @@ Observed run_with_engine(const api::Scenario& scenario, api::Engine engine,
   }
   o.result = soc->run();
   o.stepped_cycles = soc->stepped_cycles();
+  o.stepped_drain_cycles = soc->stepped_drain_cycles();
   o.stopped_in_window = soc->stalled_on_rot(soc->host().cycle());
   o.trace = soc->host().trace();
   for (unsigned port = 0; port < 2; ++port) {
@@ -267,7 +270,8 @@ TEST(EngineEquivalenceFuzz, RandomFaultPlans) {
 // Engine equivalence cannot tell a fast path that never fires from one that
 // is exact, so first prove the windows are taken: the event engine steps
 // only a small share of a stall-bound run's cycles, and lock-step steps
-// every one.
+// every one.  The same holds for the post-program drain, where the event
+// engine skips the writer's verdict waits.
 
 TEST(BackPressureWindow, EventEngineStepsFewStallBoundCycles) {
   for (const char* name :
@@ -282,6 +286,11 @@ TEST(BackPressureWindow, EventEngineStepsFewStallBoundCycles) {
     EXPECT_LE(event.stepped_cycles * 100, event.result.cycles * 15)
         << event.stepped_cycles << " of " << event.result.cycles
         << " cycles stepped";
+    EXPECT_GT(lock.stepped_drain_cycles, 0u);
+    EXPECT_LE(event.stepped_drain_cycles * 100,
+              lock.stepped_drain_cycles * 15)
+        << event.stepped_drain_cycles << " of " << lock.stepped_drain_cycles
+        << " drain iterations stepped";
   }
 }
 
@@ -379,20 +388,47 @@ TEST(BackPressureWindow, CheckpointInsideWindowForksBitExact) {
 }
 
 TEST(BackPressureWindow, WatchdogDeadlineEndsWindowsExactly) {
-  // 2048 only re-rings the dropped doorbell; 300 is below the healthy round
+  // 2048 only re-rings the dropped doorbells; 300 is below the healthy round
   // trip, so spurious re-rings land inside ordinary waits too.
   for (const sim::Cycle timeout : {sim::Cycle{2048}, sim::Cycle{300}}) {
     SCOPED_TRACE("doorbell timeout " + std::to_string(timeout));
-    const api::Scenario scenario =
-        stall_bound_fib12()
-            .drain_burst(4)
-            .doorbell_retry(timeout, 3)
-            .faults(sim::FaultPlan::parse("doorbell_drop@1+doorbell_drop@9"))
-            .build();
-    const Observed lock = run_with_engine(scenario, api::Engine::kLockStep);
-    const Observed event = run_with_engine(scenario, api::Engine::kEventDriven);
-    EXPECT_GT(lock.result.resilience.doorbell_retries, 0u);
+    const auto build = [timeout](const std::string& plan) {
+      return stall_bound_fib12()
+          .drain_burst(4)
+          .doorbell_retry(timeout, 3)
+          .faults(sim::FaultPlan::parse(plan))
+          .build();
+    };
+    // Also drop the run's last ring, which belongs to the final batch: it is
+    // rung in the post-program drain, so the watchdog re-rings there too.
+    // Ring ordinals count dropped rings; nothing before the last one moves.
+    const std::string early = "doorbell_drop@1+doorbell_drop@9";
+    const Observed probe =
+        run_with_engine(build(early), api::Engine::kLockStep);
+    const std::uint64_t rings = probe.result.doorbells + 2;
+    const api::Scenario scenario = build(
+        early + "+doorbell_drop@" + std::to_string(rings - 1));
+
+    // The retry count when the host program ends (the checkpoint hook fires
+    // at main-loop exit, just before the drain).
+    std::uint64_t retries_at_exit = 0;
+    const auto note_exit = [&retries_at_exit](cfi::SocTop& soc, Observed&) {
+      soc.set_checkpoint(
+          std::numeric_limits<sim::Cycle>::max(),
+          [&retries_at_exit, &soc](const sim::Snapshot&) {
+            retries_at_exit = soc.log_writer().doorbell_retries();
+          });
+    };
+    const Observed lock =
+        run_with_engine(scenario, api::Engine::kLockStep, note_exit);
+    EXPECT_GT(lock.result.resilience.doorbell_retries, retries_at_exit);
+    EXPECT_EQ(lock.result.resilience.injected[static_cast<std::size_t>(
+                  sim::FaultSite::kDoorbellDrop)],
+              3u);
+    const Observed event =
+        run_with_engine(scenario, api::Engine::kEventDriven, note_exit);
     expect_same(lock, event);
+    EXPECT_LT(event.stepped_drain_cycles, lock.stepped_drain_cycles);
   }
 }
 
