@@ -25,7 +25,7 @@ int main() {
     return 1;
   }
   const titan::api::Scenario& scenario = *scenario_ptr;
-  const titan::rv::Image victim = scenario.workload_image();
+  const titan::rv::Image& victim = scenario.workload_image();
 
   // --- Run 1: no CFI — the hijack succeeds silently. -------------------------
   titan::sim::Memory memory;

@@ -153,13 +153,6 @@ rv::Image Workload::build() const {
 
 // ---- Scenario ---------------------------------------------------------------
 
-rv::Image Scenario::workload_image() const {
-  if (attack_) {
-    return attacks::generate(*attack_).image;
-  }
-  return workload_.build();
-}
-
 std::unique_ptr<cfi::SocTop> Scenario::make_soc() const {
   return std::make_unique<cfi::SocTop>(soc_, workload_image(), rom_);
 }
@@ -457,10 +450,11 @@ Scenario ScenarioBuilder::build() const {
   scenario.workload_ = workload_;
   scenario.attack_ = attack_;
   if (attack_) {
-    // Generate once here for the scoring wiring; workload_image() regenerates
-    // the identical bytes on demand (attacks::generate is deterministic).
-    const attacks::AttackImage adversarial = attacks::generate(*attack_);
-    scenario.soc_.attack_edges = adversarial.hijack_pcs;
+    // One generate serves the image and the scoring wiring.
+    attacks::AttackImage adversarial = attacks::generate(*attack_);
+    scenario.image_ =
+        std::make_shared<const rv::Image>(std::move(adversarial.image));
+    scenario.soc_.attack_edges = std::move(adversarial.hijack_pcs);
     if (jump_table_) {
       // Forward-edge enforcement treats an empty jump table as inert, so an
       // attack scenario with jt=1 provisions the generated image's legitimate
@@ -472,6 +466,8 @@ Scenario ScenarioBuilder::build() const {
       }
       scenario.soc_.jump_table_base = fw::FwLayout::kJumpTable;
     }
+  } else {
+    scenario.image_ = std::make_shared<const rv::Image>(workload_.build());
   }
 
   // The single source of truth for each co-designed knob: both halves are

@@ -128,10 +128,11 @@ class Scenario {
 
   // Accessor names deliberately avoid the poisoned raw-surface identifiers
   // (api/enforce.hpp) so benches can call them after the poison pragma.
-  /// Attack scenarios regenerate the adversarial image from the plan
-  /// (attacks::generate is deterministic), so there are no image bytes to
-  /// fingerprint and the serialized plan IS the program identity.
-  [[nodiscard]] rv::Image workload_image() const;
+  /// The host program, built once by ScenarioBuilder::build() and shared by
+  /// copies and every SoC made.  An attack scenario's image comes from the
+  /// plan (attacks::generate is deterministic), so there are no image bytes
+  /// to fingerprint and the serialized plan IS the program identity.
+  [[nodiscard]] const rv::Image& workload_image() const { return *image_; }
   [[nodiscard]] const rv::Image& firmware_image() const {
     return rom_->image();
   }
@@ -173,6 +174,8 @@ class Scenario {
   fw::FirmwareConfig fw_;
   /// The RoT ROM built from fw_, shared by copies and every SoC made.
   std::shared_ptr<const ibex::FirmwareRom> rom_;
+  /// The host program built from workload_ or attack_, shared likewise.
+  std::shared_ptr<const rv::Image> image_;
   std::shared_ptr<const sim::Snapshot> warm_start_;
 };
 

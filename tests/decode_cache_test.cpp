@@ -1,14 +1,20 @@
 // Tests for the shared decoded-instruction cache: hit/miss behaviour, RVC
 // window normalisation, and exact invalidation via the raw-encoding tag —
 // after self-modifying stores and after Memory::load image replacement —
-// at unit level and end-to-end on both core models.
+// at unit level and end-to-end on both core models; and the recycled
+// storage of default-geometry caches (a reused arena reads as empty, and
+// concurrent SoCs sharing the free list report what serial ones do).
 #include "sim/decode_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "api/api.hpp"
 #include "cva6/core.hpp"
 #include "ibex/core.hpp"
 #include "rv/assembler.hpp"
@@ -181,6 +187,145 @@ TEST(DecodeCache, SnapshotRoundTripKeepsDerivedFieldsAndClearsOnlyFilled) {
   copy.load_state(replay);
   copy.save_state(again);
   EXPECT_EQ(again.data(), writer.data());
+}
+
+// ---- Recycled storage --------------------------------------------------------
+
+// Slot 0's entry sits at the start of the cache's storage, so its address
+// names the arena a cache was given.
+const sim::DecodeCache::Entry* arena_of(sim::DecodeCache& cache) {
+  return &cache.decode(0, kAddiA0A0_1);
+}
+
+TEST(DecodeCacheRecycling, ReusedArenaReadsAsEmpty) {
+  constexpr std::size_t kSlots = sim::DecodeCache::kDefaultEntries;
+  // Hold enough caches that the free list has room for the next release.
+  std::vector<std::unique_ptr<sim::DecodeCache>> holders;
+  for (std::size_t i = 0; i < sim::DecodeCache::kRecycledArenas; ++i) {
+    holders.push_back(std::make_unique<sim::DecodeCache>(rv::Xlen::k64));
+  }
+
+  sim::SnapshotWriter writer;
+  {
+    sim::DecodeCache source(rv::Xlen::k64, kSlots);
+    (void)source.decode(0x200, 0x000080E7);  // jalr ra, 0(ra)
+    (void)source.decode(0x2000, 0x02A5C533);  // div a0, a1, a0
+    source.save_state(writer);
+  }
+  // The PCs below map to distinct slots, none of them slot 0.
+  const std::array<std::uint64_t, 4> pcs = {0x100, 0x200, 0x2000, 0x3002};
+  const sim::DecodeCache::Entry* released = nullptr;
+  {
+    sim::DecodeCache cache(rv::Xlen::k64);
+    released = arena_of(cache);
+    sim::SnapshotReader reader(writer.data());
+    cache.load_state(reader);                      // 0x200, 0x2000
+    (void)cache.decode(0x100, kAddiA0A0_1);        // a miss
+    (void)cache.decode(0x100, kAddiA0A0_64);       // a self-modifying store
+    (void)cache.decode(0x3002, 0xFFFF'4505u);      // c.li a0, 1
+    EXPECT_EQ(cache.decode(0x3002, 0x4505u).kind, rv::CfKind::kNone);
+  }
+
+  sim::DecodeCache reused(rv::Xlen::k64);
+  EXPECT_EQ(reused.hits(), 0u);
+  EXPECT_EQ(reused.misses(), 0u);
+  // Every PC filled before the release decodes anew, then hits.
+  const std::array<std::uint32_t, 4> windows = {kAddiA0A0_64, 0x000080E7,
+                                                0x02A5C533, 0x4505u};
+  for (std::size_t i = 0; i < pcs.size(); ++i) {
+    const sim::DecodeCache::Entry& entry = reused.decode(pcs[i], windows[i]);
+    EXPECT_EQ(entry.inst.op, rv::decode(windows[i], rv::Xlen::k64).op);
+    EXPECT_EQ(reused.misses(), i + 1) << std::hex << pcs[i];
+    (void)reused.decode(pcs[i], windows[i]);
+    EXPECT_EQ(reused.hits(), i + 1) << std::hex << pcs[i];
+  }
+  sim::SnapshotWriter saved;
+  reused.save_state(saved);
+  sim::SnapshotReader check(saved.data());
+  (void)check.u64();
+  (void)check.u64();
+  EXPECT_EQ(check.u64(), pcs.size());  // Only the slots filled here.
+  // The witness that the arena was the released one, not a fresh block.
+  EXPECT_EQ(arena_of(reused), released);
+}
+
+TEST(DecodeCacheRecycling, OtherGeometriesNeverTakeARecycledArena) {
+  const sim::DecodeCache::Entry* released = nullptr;
+  {
+    sim::DecodeCache cache(rv::Xlen::k64);
+    released = arena_of(cache);
+  }
+  for (const std::size_t entries : {std::size_t{1}, std::size_t{64},
+                                    sim::DecodeCache::kDefaultEntries * 2}) {
+    sim::DecodeCache other(rv::Xlen::k64, entries);
+    EXPECT_NE(arena_of(other), released) << entries;
+    EXPECT_EQ(other.misses(), 1u);
+  }
+  // The released arena is still on the list for the default geometry.
+  sim::DecodeCache again(rv::Xlen::k64);
+  EXPECT_EQ(arena_of(again), released);
+  EXPECT_EQ(again.misses(), 1u);
+}
+
+TEST(DecodeCacheRecycling, SecondCoreRunReportsTheSameDecodeCounts) {
+  const rv::Image image = self_modifying_program();
+  const auto run = [&] {
+    sim::Memory memory;
+    memory.load(image.base, image.bytes);
+    cva6::Cva6Config config;
+    config.reset_pc = image.base;
+    cva6::Cva6Core core(config, memory);
+    core.set_trace_enabled(false);
+    core.run_baseline();
+    return std::array<std::uint64_t, 4>{
+        core.exit_code(), core.cycle(), core.decode_cache().hits(),
+        core.decode_cache().misses()};
+  };
+  const auto first = run();
+  EXPECT_EQ(first[0], 65u);
+  EXPECT_EQ(run(), first);
+}
+
+TEST(DecodeCacheRecycling, ConcurrentSocsMatchSerialReports) {
+  const api::ScenarioRegistry& registry = api::ScenarioRegistry::global();
+  std::vector<const api::Scenario*> scenarios;
+  for (const std::string_view name :
+       {"irq/baseline/burst1", "irq/baseline/burst8+mac", "attacks/rop_L4",
+        "faults/all_sites_closed"}) {
+    scenarios.push_back(registry.find(name));
+    ASSERT_NE(scenarios.back(), nullptr) << name;
+  }
+  const api::ScenarioSet matrix =
+      registry.query("attack_matrix", "attack_matrix");
+  for (const api::Scenario& scenario : matrix) {
+    scenarios.push_back(&scenario);
+  }
+  const api::ReportSchema schema;
+  std::vector<std::string> serial;
+  for (const api::Scenario* scenario : scenarios) {
+    serial.push_back(schema.render(api::run_scenario(*scenario)));
+  }
+  // Each thread starts at a different scenario, so SoCs of different
+  // scenarios are built and destroyed at once.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::string>> rendered(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      rendered[t].resize(scenarios.size());
+      for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        const std::size_t k = (i + t * scenarios.size() / kThreads) %
+                              scenarios.size();
+        rendered[t][k] = schema.render(api::run_scenario(*scenarios[k]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(rendered[t], serial) << "thread " << t;
+  }
 }
 
 // ---- End-to-end: self-modifying code on the CVA6 model ----------------------

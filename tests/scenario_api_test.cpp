@@ -143,6 +143,90 @@ TEST(Scenario, RunMatchesRawConstructionPath) {
   EXPECT_EQ(report.exit_code, raw.exit_code);
 }
 
+// ---- The workload image is built once per Scenario ------------------------
+
+TEST(ScenarioImage, CopiesShareOneImage) {
+  const api::Scenario scenario = valid_builder().build();
+  const rv::Image* image = &scenario.workload_image();
+  EXPECT_EQ(&scenario.with_engine(api::Engine::kLockStep).workload_image(),
+            image);
+  EXPECT_EQ(&scenario.with_warm_start(nullptr).workload_image(), image);
+  api::ScenarioRegistry local;
+  local.add(scenario);
+  EXPECT_EQ(&local.find("test")->workload_image(), image);
+
+  // Registry queries hand out copies of the registered scenarios.
+  const api::ScenarioRegistry& registry = api::ScenarioRegistry::global();
+  const api::ScenarioSet set = registry.query("attack_matrix", "m");
+  const api::ScenarioSet lock_step = set.with_engine(api::Engine::kLockStep);
+  ASSERT_EQ(set.size(), lock_step.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(&lock_step[i].workload_image(), &set[i].workload_image())
+        << set[i].name();
+    EXPECT_EQ(&registry.find(set[i].name())->workload_image(),
+              &set[i].workload_image())
+        << set[i].name();
+  }
+}
+
+TEST(ScenarioImage, BenignImageIsTheWorkloadBuild) {
+  const api::Scenario scenario = valid_builder().build();
+  const rv::Image built = api::Workload::fib(6).build();
+  EXPECT_EQ(scenario.workload_image().base, built.base);
+  EXPECT_EQ(scenario.workload_image().bytes, built.bytes);
+  EXPECT_EQ(scenario.workload_image().marks, built.marks);
+}
+
+TEST(ScenarioImage, AttackImageAndWiringAreTheGeneratedOnes) {
+  for (const std::string_view name :
+       {"attacks/rop_L4", "attacks/ret2reg_jt", "attacks/jop_s1_jt"}) {
+    const api::Scenario* scenario = api::ScenarioRegistry::global().find(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    ASSERT_TRUE(scenario->attack().has_value()) << name;
+    const attacks::AttackImage generated =
+        attacks::generate(*scenario->attack());
+    EXPECT_EQ(scenario->workload_image().base, generated.image.base) << name;
+    EXPECT_EQ(scenario->workload_image().bytes, generated.image.bytes)
+        << name;
+    EXPECT_EQ(scenario->workload_image().marks, generated.image.marks)
+        << name;
+    EXPECT_EQ(scenario->soc_config().attack_edges, generated.hijack_pcs)
+        << name;
+    if (scenario->firmware_config().enable_jump_table) {
+      ASSERT_EQ(scenario->soc_config().jump_table.size(),
+                generated.legit_targets.size())
+          << name;
+      for (std::size_t i = 0; i < generated.legit_targets.size(); ++i) {
+        EXPECT_EQ(scenario->soc_config().jump_table[i],
+                  static_cast<std::uint32_t>(generated.legit_targets[i]));
+      }
+    }
+  }
+}
+
+TEST(ScenarioImage, SerializationIsUnchanged) {
+  // Fingerprints pinned from the build that regenerated the image on every
+  // make_soc: holding the image must not move a byte of any identity.
+  EXPECT_EQ(valid_builder().name("benign").drain_burst(8).batch_mac(true)
+                .build().serialize(),
+            "scenario{name=benign;workload=fib(6);fw=irq;fabric=baseline;"
+            "queue_depth=8;burst=8;mac=1;dwait=0;dtimeout=0;ss=32;spill=16;"
+            "jt=0;pmp=1;trace=0}");
+  EXPECT_EQ(api::ScenarioBuilder()
+                .name("image")
+                .workload(api::Workload::image("prog",
+                                               workloads::fib_recursive(5)))
+                .build()
+                .serialize(),
+            "scenario{name=image;workload=image:prog:b6e380e1d56e1949;fw=irq;"
+            "fabric=baseline;queue_depth=8;burst=1;mac=0;dwait=0;dtimeout=0;"
+            "ss=32;spill=16;jt=0;pmp=1;trace=0}");
+  EXPECT_EQ(api::ScenarioRegistry::global().find("attacks/rop_L4")->serialize(),
+            "scenario{name=attacks/rop_L4;workload=attack;fw=irq;"
+            "fabric=baseline;queue_depth=8;burst=1;mac=0;dwait=0;dtimeout=0;"
+            "ss=32;spill=16;jt=0;pmp=1;trace=0;attack=rop@0#4,1}");
+}
+
 TEST(RunReport, CarriesPerfStatsSuperset) {
   const api::RunReport report = api::run_scenario(valid_builder().build());
   EXPECT_GT(report.cf_logs, 0u);
