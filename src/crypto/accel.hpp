@@ -42,10 +42,12 @@ class HmacAccel {
   /// modelled cycle cost is unchanged — the hardware pipeline hides the pad
   /// blocks either way — but the host-side simulation skips two SHA-256
   /// compressions per call.
+  /// With a `memo`, the digest may come from it; the cycles never do.
   [[nodiscard]] Result mac(const HmacKey& key,
-                           std::span<const std::uint8_t> message) const {
+                           std::span<const std::uint8_t> message,
+                           MacMemo* memo = nullptr) const {
     Result result;
-    result.digest = key.mac(message);
+    result.digest = memo != nullptr ? memo->mac(key, message) : key.mac(message);
     // HMAC hashes (ipad || message) then (opad || inner): two extra blocks.
     const std::uint64_t blocks = (message.size() + 63) / 64 + 2;
     result.cycles = config_.setup_cycles +
@@ -68,8 +70,9 @@ class HmacAccel {
   }
 
   Result mac_accounted(const HmacKey& key,
-                       std::span<const std::uint8_t> message) {
-    Result result = mac(key, message);
+                       std::span<const std::uint8_t> message,
+                       MacMemo* memo = nullptr) {
+    Result result = mac(key, message, memo);
     total_cycles_ += result.cycles;
     ++invocations_;
     return result;

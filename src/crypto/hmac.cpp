@@ -44,6 +44,22 @@ Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
   return outer.finish();
 }
 
+Digest MacMemo::mac(const HmacKey& key, std::span<const std::uint8_t> message) {
+  if (message.size() > kMaxMessageBytes) {
+    return key.mac(message);
+  }
+  if (key_ == key && length_ == message.size() &&
+      std::equal(message.begin(), message.end(), message_.begin())) {
+    ++hits_;
+  } else {
+    key_ = key;
+    length_ = message.size();
+    std::copy(message.begin(), message.end(), message_.begin());
+    digest_ = key.mac(message);
+  }
+  return digest_;
+}
+
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::span<const std::uint8_t> message) {
   return HmacKey(key).mac(message);

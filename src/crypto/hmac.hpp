@@ -3,7 +3,9 @@
 // Zipper Stack").
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,9 +27,39 @@ class HmacKey {
 
   [[nodiscard]] Digest mac(std::span<const std::uint8_t> message) const;
 
+  /// Same midstates, hence the same MAC for every message.
+  friend bool operator==(const HmacKey&, const HmacKey&) = default;
+
  private:
   Sha256State inner_mid_{};
   Sha256State outer_mid_{};
+};
+
+/// A one-entry cache of HmacKey::mac, keyed by the key's midstates and the
+/// full message bytes.  The two ends of an authenticated burst (the Log
+/// Writer and the RoT's HMAC block) MAC the same bytes under the same slot
+/// key back to back, so the second MAC is a memcmp instead of SHA-256
+/// compressions.  The MAC is a pure function and the key is the whole
+/// input, so the memo changes no modelled state, only host time.
+class MacMemo {
+ public:
+  /// Longer messages bypass the memo (computed, not stored).
+  static constexpr std::size_t kMaxMessageBytes = 1024;
+
+  [[nodiscard]] Digest mac(const HmacKey& key,
+                           std::span<const std::uint8_t> message);
+  [[nodiscard]] bool empty() const { return !key_.has_value(); }
+  /// Lookups answered from the memo (host-side; in no report or snapshot).
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+
+ private:
+  /// The stored entry: key, message_[0, length_) and its digest.  Only
+  /// meaningful while key_ is engaged; the rest is left uninitialised.
+  std::optional<HmacKey> key_;
+  std::array<std::uint8_t, kMaxMessageBytes> message_;
+  std::size_t length_;
+  Digest digest_;
+  std::uint64_t hits_ = 0;
 };
 
 /// One-shot HMAC-SHA256.

@@ -14,6 +14,7 @@ void Crossbar::map(Region region, BusTarget& target,
                                   "': overlapping region for " + label);
     }
   }
+  reserve_mappings();
   mappings_.push_back({region, &target, device_latency, std::move(label)});
 }
 
@@ -52,6 +53,27 @@ BusResponse Crossbar::write(Addr addr, unsigned size, std::uint64_t value) {
   return {.value = 0,
           .latency = hop_latency_ + mapping->device_latency,
           .error = false};
+}
+
+void Crossbar::read_bytes(Addr addr, std::span<std::uint8_t> out) {
+  const Addr last = addr + (out.size() - 1);
+  Mapping* mapping = lookup(addr);
+  if (mapping != nullptr && last >= addr && mapping->region.contains(last)) {
+    transactions_ += out.size();
+    mapping->target->read_bytes(addr, out);
+    return;
+  }
+  // Unmapped, straddling or wrapping: one decoded transaction per byte.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(read(addr + i, 1).value);
+  }
+}
+
+void Crossbar::reserve_mappings() {
+  // Every SoC fabric maps at most this many targets, so each takes one
+  // allocation; a larger map grows the vector as before.
+  constexpr std::size_t kTypicalMappings = 8;
+  mappings_.reserve(kTypicalMappings);
 }
 
 }  // namespace titan::soc

@@ -30,6 +30,14 @@ class BusTarget {
   /// Returns false when the target refuses the store (read-only); the
   /// crossbar answers that with a bus error.
   virtual bool write(Addr addr, unsigned size, std::uint64_t value) = 0;
+  /// Block read of [addr, addr + out.size()), the bytes `out.size()`
+  /// one-byte read()s would return.  The default is that loop; a target
+  /// whose one-byte reads have no side effects may copy in larger pieces.
+  virtual void read_bytes(Addr addr, std::span<std::uint8_t> out) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::uint8_t>(read(addr + i, 1));
+    }
+  }
 };
 
 /// Adapts a sim::Memory to the bus interface.
@@ -109,6 +117,10 @@ class Crossbar {
 
   [[nodiscard]] BusResponse read(Addr addr, unsigned size);
   BusResponse write(Addr addr, unsigned size, std::uint64_t value);
+  /// DMA read of `out.size()` bytes from `addr`: the bytes and traffic count
+  /// of one read(addr + i, 1) per byte (errors read as zero).  A range that
+  /// lies in one mapping costs one lookup and one BusTarget::read_bytes.
+  void read_bytes(Addr addr, std::span<std::uint8_t> out);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t hop_latency() const { return hop_latency_; }
@@ -133,6 +145,9 @@ class Crossbar {
 
  private:
   [[nodiscard]] Mapping* lookup(Addr addr);
+  /// Called by every map(); out of line, as it runs only while a SoC is
+  /// built and inlined it would swell map()'s exception paths.
+  [[gnu::noinline]] void reserve_mappings();
 
   std::string name_;
   std::uint32_t hop_latency_;

@@ -1,5 +1,7 @@
 #include "soc/hmac_mmio.hpp"
 
+#include <algorithm>
+#include <array>
 #include <span>
 #include <vector>
 
@@ -45,11 +47,22 @@ const crypto::HmacKey& HmacMmio::key_for(std::uint32_t key_sel) {
 void HmacMmio::start() {
   ++starts_;
   // DMA the source buffer (hardware engine: does not cost core cycles).
-  std::vector<std::uint8_t> buffer(len_);
-  for (std::uint32_t i = 0; i < len_; ++i) {
-    buffer[i] = static_cast<std::uint8_t>(data_bus_.read(src_ + i, 1).value);
+  // Any message the memo can hold lands on the stack; only longer ones (no
+  // firmware MACs one) allocate.  SRC is a 32-bit register: a buffer past
+  // 0xFFFFFFFF wraps to 0.
+  std::array<std::uint8_t, crypto::MacMemo::kMaxMessageBytes> local;
+  std::vector<std::uint8_t> oversize;
+  std::span<std::uint8_t> buffer(local.data(),
+                                 std::min<std::size_t>(len_, local.size()));
+  if (len_ > local.size()) {
+    oversize.resize(len_);
+    buffer = oversize;
   }
-  const auto result = engine_.mac_accounted(key_for(key_sel_), buffer);
+  const std::size_t head =
+      std::min<std::uint64_t>(len_, (std::uint64_t{1} << 32) - src_);
+  data_bus_.read_bytes(src_, buffer.first(head));
+  data_bus_.read_bytes(0, buffer.subspan(head));
+  const auto result = engine_.mac_accounted(key_for(key_sel_), buffer, memo_);
   digest_ = result.digest;
   done_at_ = clock_() + result.cycles;
 }

@@ -49,6 +49,9 @@ class HmacMmio final : public BusTarget {
   std::uint64_t read(Addr addr, unsigned size) override;
   bool write(Addr addr, unsigned size, std::uint64_t value) override;
 
+  /// Share the SoC's MAC memo (the Log Writer MACs each burst first).
+  void set_mac_memo(crypto::MacMemo* memo) { memo_ = memo; }
+
   [[nodiscard]] const crypto::HmacAccel& engine() const { return engine_; }
   [[nodiscard]] std::uint64_t starts() const { return starts_; }
 
@@ -56,7 +59,8 @@ class HmacMmio final : public BusTarget {
   /// and the engine usage counters.  The key-slot cache is NOT serialized —
   /// slot keys are a pure function of the config-derived device secret, so
   /// a warm run re-derives them with zero observable state (no bus traffic,
-  /// no counters).
+  /// no counters).  Nor is the MAC memo, which belongs to the SoC: a
+  /// restore targets a freshly built SoC, whose memo is empty.
   void save_state(sim::SnapshotWriter& writer) const;
   void load_state(sim::SnapshotReader& reader);
 
@@ -74,6 +78,7 @@ class HmacMmio final : public BusTarget {
   static constexpr std::size_t kMaxKeySlots = 16;
   std::unordered_map<std::uint32_t, crypto::HmacKey> key_slots_;
 
+  crypto::MacMemo* memo_ = nullptr;
   std::uint32_t src_ = 0;
   std::uint32_t len_ = 0;
   std::uint32_t key_sel_ = 0;

@@ -43,6 +43,23 @@ std::uint64_t Mailbox::read(Addr addr, unsigned size) {
   return value;
 }
 
+void Mailbox::read_bytes(Addr addr, std::span<std::uint8_t> out) {
+  std::size_t i = 0;
+  while (i < out.size()) {
+    const Addr offset = reg_offset(addr + i);
+    const std::uint64_t* reg = reg_at(offset);
+    if (reg == nullptr || offset % 8 != 0 || out.size() - i < 8) {
+      out[i] = static_cast<std::uint8_t>(read(addr + i, 1));
+      ++i;
+      continue;
+    }
+    for (unsigned byte = 0; byte < 8; ++byte) {
+      out[i + byte] = static_cast<std::uint8_t>(*reg >> (8 * byte));
+    }
+    i += 8;
+  }
+}
+
 bool Mailbox::write(Addr addr, unsigned size, std::uint64_t value) {
   const Addr offset = reg_offset(addr);
   if (offset == kDoorbellOffset) {

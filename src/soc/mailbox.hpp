@@ -23,6 +23,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "sim/snapshot.hpp"
 #include "soc/bus.hpp"
@@ -65,6 +66,9 @@ class Mailbox final : public BusTarget {
   // ---- BusTarget (MMIO view, used by Ibex firmware / CVA6) -----------------
   std::uint64_t read(Addr addr, unsigned size) override;
   bool write(Addr addr, unsigned size, std::uint64_t value) override;
+  /// DMA view (the RoT HMAC block reads the batch area): whole aligned
+  /// registers are copied 8 bytes at a time, everything else bytewise.
+  void read_bytes(Addr addr, std::span<std::uint8_t> out) override;
 
   // ---- Direct port view (used by the hardware-side CFI Log Writer) ---------
   [[nodiscard]] std::uint64_t data(unsigned index) const { return data_.at(index); }

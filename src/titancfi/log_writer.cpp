@@ -89,13 +89,13 @@ LogWriter::LogWriter(QueueController& controller, soc::Crossbar& axi,
     mac_key_.emplace(
         soc::derive_slot_key(config.device_secret, config.mac_key_sel));
   }
+  if (config_.mac_batches) {
+    packed_.assign(std::size_t{config_.burst} * CommitLog::kBeats * 8, 0);
+  }
   // One reservation for the lifetime of the writer: begin_batch only clears.
   batch_.reserve(config_.burst);
   writes_.reserve(std::size_t{config_.burst} * CommitLog::kBeats + 1 +
                   soc::Mailbox::kMacRegs);
-  if (config_.mac_batches) {
-    packed_.reserve(std::size_t{config_.burst} * CommitLog::kBeats * 8);
-  }
 }
 
 void LogWriter::begin_batch(Cycle now, std::size_t count) {
@@ -112,7 +112,6 @@ void LogWriter::begin_batch(Cycle now, std::size_t count) {
     busy_until_ = now + 1;  // Pop latency.
     return;
   }
-  packed_.clear();
   for (std::size_t slot = 0; slot < count; ++slot) {
     const auto beats = batch_[slot].pack();
     for (unsigned beat = 0; beat < CommitLog::kBeats; ++beat) {
@@ -120,18 +119,24 @@ void LogWriter::begin_batch(Cycle now, std::size_t count) {
           {base + soc::Mailbox::slot_offset(static_cast<unsigned>(slot)) +
                8 * beat,
            beats[beat]});
-      if (config_.mac_batches) {
-        for (unsigned byte = 0; byte < 8; ++byte) {
-          packed_.push_back(
-              static_cast<std::uint8_t>(beats[beat] >> (8 * byte)));
-        }
-      }
     }
   }
   writes_.push_back({base + soc::Mailbox::kBatchCountOffset,
                      static_cast<std::uint64_t>(count)});
   if (config_.mac_batches) {
-    const crypto::Digest digest = mac_key_->mac(packed_);
+    // The MAC covers the slot beats (every write but the batch count),
+    // each stored little-endian.
+    std::uint8_t* packed = packed_.data();
+    for (std::size_t index = 0; index + 1 < writes_.size(); ++index) {
+      for (unsigned byte = 0; byte < 8; ++byte) {
+        *packed++ =
+            static_cast<std::uint8_t>(writes_[index].value >> (8 * byte));
+      }
+    }
+    const std::span<const std::uint8_t> message(packed_.data(), packed);
+    const crypto::Digest digest = memo_ != nullptr
+                                      ? memo_->mac(*mac_key_, message)
+                                      : mac_key_->mac(message);
     std::array<std::uint64_t, soc::Mailbox::kMacRegs> mac_words{};
     for (unsigned index = 0; index < soc::Mailbox::kMacRegs; ++index) {
       mac_words[index] = mac_reg(digest, index);

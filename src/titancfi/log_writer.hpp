@@ -111,6 +111,8 @@ class LogWriter {
   void tick(Cycle now);
 
   void set_log_capture(LogHook hook) { on_log_ = std::move(hook); }
+  /// Compute burst MACs through `memo`, which the RoT's HMAC block shares.
+  void set_mac_memo(crypto::MacMemo* memo) { memo_ = memo; }
   /// Fault-injection seam (duplicate doorbells, MAC bit corruption) and the
   /// detection side of the doorbell-drop / RoT-stall sites.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
@@ -197,7 +199,9 @@ class LogWriter {
   /// batch): the drain runs once per doorbell on the hot path and must not
   /// churn allocations.
   std::vector<PendingWrite> writes_;
-  /// Packed little-endian log bytes for the burst MAC (MAC mode only).
+  crypto::MacMemo* memo_ = nullptr;
+  /// Packed little-endian log bytes for the burst MAC: sized once for a
+  /// full burst in MAC mode (empty otherwise), written by index.
   std::vector<std::uint8_t> packed_;
   std::size_t write_index_ = 0;
   Cycle busy_until_ = 0;

@@ -76,6 +76,7 @@ class RotSubsystem {
   [[nodiscard]] soc::Plic& plic() { return plic_; }
   [[nodiscard]] soc::Crossbar& fabric() { return tlul_; }
   [[nodiscard]] const soc::HmacMmio& hmac() const { return *hmac_; }
+  void set_mac_memo(crypto::MacMemo* memo) { hmac_->set_mac_memo(memo); }
   [[nodiscard]] sim::Memory& sram() { return sram_; }
   [[nodiscard]] const rv::Image& firmware() const { return rom_->image(); }
 

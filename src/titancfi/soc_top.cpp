@@ -96,6 +96,9 @@ SocTop::SocTop(const SocConfig& config, const rv::Image& host_program,
   };
   log_writer_ = std::make_unique<LogWriter>(queue_controller_, axi_, mailbox_,
                                             fail_closed, writer_config);
+  // Both ends of an authenticated burst MAC through the one memo.
+  log_writer_->set_mac_memo(&mac_memo_);
+  rot_->set_mac_memo(&mac_memo_);
   queue_controller_.set_overflow_policy(config.overflow_policy);
   queue_controller_.set_fail_closed_hook(fail_closed);
 

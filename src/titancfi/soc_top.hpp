@@ -188,6 +188,11 @@ class SocTop {
   [[nodiscard]] sim::Cycle stepped_drain_cycles() const {
     return stepped_drain_cycles_;
   }
+  /// The one-entry MAC memo both ends of an authenticated burst share: the
+  /// RoT's HMAC start re-MACs the bytes the Log Writer just MAC'd.  Its hit
+  /// count is host-side only (absent from reports and snapshots); a
+  /// restored SoC starts with the memo empty.
+  [[nodiscard]] const crypto::MacMemo& mac_memo() const { return mac_memo_; }
 
   /// The event engine's second fast-forward predicate, the back-pressure
   /// window, at loop-top cycle `cycle`: the queue is full under
@@ -302,6 +307,8 @@ class SocTop {
   /// Drain iterations run() stepped one at a time (see
   /// stepped_drain_cycles()).
   sim::Cycle stepped_drain_cycles_ = 0;
+  /// Shared by the Log Writer and the RoT's HMAC block (see mac_memo()).
+  crypto::MacMemo mac_memo_;
 };
 
 }  // namespace titan::cfi
